@@ -19,6 +19,14 @@ diagonalization: the pivot is the entry of minimal ord (ties broken at the
 lowest (row, col) in row-major order), eliminations divide exactly in the
 fraction field, and the recorded transforms stay invertible over the
 valuation ring because every multiplier has nonnegative ord.
+
+The computation has two parts.  apply_boundaries applies sigma once to each
+boundary entry; it depends only on sigma's images of T0..T3, so callers that
+vary only the weight (a profile over B(r)) apply sigma once per set of
+images.  homology_of_applied then runs two Smith passes per degree, on the
+outgoing map and on the incoming generators in the kernel basis.  Its rank
+audit checks the second against the rank of the map into the degree, read
+from the previous degree's outgoing Smith form rather than from a third pass.
 """
 
 from __future__ import annotations
@@ -555,17 +563,26 @@ class HomologySummary:
         return rmat_mul([list(coords)], self._kernel_basis, self._zero_elt)[0]
 
 
-def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
-    """Per-degree free rank, descending torsion ords, and reduction transforms."""
+def apply_boundaries(complex: ChainComplex, sigma) -> dict:
+    """sigma applied to every boundary entry, keyed like complex.maps.
+
+    The result depends only on sigma's images of T0..T3, not on its weight,
+    so base changes that share images (B(r) for every r) can share it.
+    """
+    return {k: [[sigma.apply(e) for e in row] for row in complex.map_into(k)]
+            for k in complex.maps}
+
+
+def homology_of_applied(complex: ChainComplex, applied: dict, weight) -> dict:
+    """Per-degree homology of apply_boundaries' output under the given weight.
+
+    applied is only read, so one applied complex serves many weights.
+    """
     from .field2 import RationalFunction
     from .basechange import SERIES_VARS
 
-    weight = sigma.weight
     one = RationalFunction.one(SERIES_VARS)
     zero = RationalFunction.zero(SERIES_VARS)
-    applied = {}
-    for k in list(complex.maps):
-        applied[k] = [[sigma.apply(e) for e in row] for row in complex.map_into(k)]
 
     def mat(k, rows, cols):
         m = applied.get(k)
@@ -574,6 +591,7 @@ def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
         return m
 
     out = {}
+    rank_into = 0
     for d in complex.degrees():
         n = complex.rank(d)
         out_mat = mat(d + 1, n, complex.rank(d + 1))
@@ -592,14 +610,13 @@ def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
             coords_rows.append(full[rank_out:])
         k = n - rank_out
         smith_in = smith_diagonalize(coords_rows, weight, one, zero, ncols=k)
-        # Audit: the presentation rank must agree with the raw matrix rank.
-        if smith_in.rank != smith_diagonalize(in_mat, weight, one, zero).rank:
+        # Audit: the presentation rank must agree with the rank of the raw
+        # map into d, which the previous degree's outgoing pass measured.
+        if smith_in.rank != rank_into:
             raise IntegrityError("rank bookkeeping mismatch between presentations")
-        torsion = sorted(
-            (weight.ord_rf(x) for x in smith_in.diagonal
-             if not weight.ord_rf(x).is_zero()),
-            reverse=True,
-        )
+        rank_into = rank_out
+        ords = (weight.ord_rf(x) for x in smith_in.diagonal)
+        torsion = sorted((o for o in ords if not o.is_zero()), reverse=True)
         out[d] = HomologySummary(
             degree=d,
             ambient_rank=n,
@@ -618,6 +635,16 @@ def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
         if out[d].free_rank + len(out[d].torsion_ords) > n:
             raise IntegrityError("free rank plus torsion exceeds the ambient rank")
     return out
+
+
+def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
+    """Per-degree free rank, descending torsion ords, and reduction transforms.
+
+    The composition of apply_boundaries and homology_of_applied: sigma is
+    applied to each boundary entry once, then two Smith passes run per
+    degree, the rank audit reading the previous degree's outgoing Smith form.
+    """
+    return homology_of_applied(complex, apply_boundaries(complex, sigma), sigma.weight)
 
 
 # -- serialization -----------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .laurent import (
     P,
     Ring,
     V,
+    laurent_gcd,
     parse_laurent_fraction,
 )
 
@@ -290,7 +291,15 @@ class FractionalIdeal:
         return self.is_subset(other) and other.is_subset(self)
 
     def __hash__(self):
-        return hash((self.ring, self.gens))
+        # In these factorial rings {d : d*I is integral} is the principal ideal
+        # of the lcm D of the reduced denominators, so D is fixed by the ideal
+        # up to a unit, and so are D*I and its reduced Groebner basis.
+        lcd = LaurentElement.one(self.ring)
+        for g in self.gens:
+            den = g.reduced().den
+            lcd = LaurentFraction(lcd * den, laurent_gcd(lcd, den)).as_laurent()
+        cleared = [(LaurentFraction(lcd) * g).as_laurent() for g in self.gens]
+        return hash((self.ring, groebner_for(self.ring, cleared)))
 
     def product(self, other) -> "FractionalIdeal":
         if not isinstance(other, FractionalIdeal) or self.ring is not other.ring:

@@ -17,6 +17,7 @@ generator-list fractional ideal compared by Groebner containment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,8 +39,10 @@ from .homalg import (
     DistinguishedCycle,
     K_TO_UNKNOT,
     UNKNOT_TO_K,
+    apply_boundaries,
     complex_from_json,
     complex_to_json,
+    homology_of_applied,
     homology_over_valuation,
     lmat_is_zero,
     tensor,
@@ -128,26 +131,39 @@ def _sigma_vector(sigma: BaseChange, vec):
 def znat_valuation(model: KnotModel, sigma: BaseChange) -> ValuationIdeal:
     """The principal ideal znat over the valuation ring of sigma."""
     _check_sigma(model, sigma)
+    return _znat(model, sigma, homology_over_valuation(model.complex, sigma))
+
+
+def _znat(model: KnotModel, sigma: BaseChange, summaries: dict,
+          vector=None) -> ValuationIdeal:
+    """znat from the homology over sigma's valuation ring.
+
+    The one path behind znat_valuation, f_sigma, f_plus, the profiles and
+    the report; each caller computes the summaries once and passes them in.
+    vector is sigma applied to the distinguished vector, when the caller
+    already has it.
+    """
     pi, lam = sigma.pi_lambda()
     g, dplus = model.cycle.genus, model.cycle.dplus
-    summary = homology_over_valuation(model.complex, sigma)[model.cycle.degree]
+    summary = summaries[model.cycle.degree]
     if summary.free_rank != 1:
         raise RankNotOne(
             f"homology at degree {model.cycle.degree} has free rank "
             f"{summary.free_rank}, need 1"
         )
+    if vector is None:
+        vector = _sigma_vector(sigma, model.cycle.vector)
     shift = sigma.sigma_P() ** g * sigma.sigma_V() ** dplus
     shift_ord = pi.scale(g) + lam.scale(dplus)
     if model.cycle.direction == UNKNOT_TO_K:
-        _, free = summary.class_coords(_sigma_vector(sigma, model.cycle.vector))
+        _, free = summary.class_coords(vector)
         c = free[0]
         if c.is_zero():
             raise CycleInTorsion("distinguished class has no free part")
         return ValuationIdeal(shift / c, shift_ord - sigma.weight.ord_rf(c))
     lift = summary.free_generator_lift()
-    phi = _sigma_vector(sigma, model.cycle.vector)
     val = None
-    for a, b in zip(phi, lift):
+    for a, b in zip(vector, lift):
         term = a * b
         val = term if val is None else val + term
     if val is None or val.is_zero():
@@ -305,8 +321,21 @@ def f_profile(model: KnotModel, samples, depth: int = 6) -> ProfileReport:
     if rs[0] <= 0 or rs[-1] > 1:
         raise UsageError("samples must lie in (0, 1]")
 
+    # B(r) sends T0..T3 to the same images for every r: apply sigma to the
+    # boundaries and the cycle once per set of images, vary only the weight.
+    applied = {}
+
     def evaluate(r: Fraction) -> Fraction:
-        return f_sigma(model, builtin("B", r)).as_fraction()
+        sigma = builtin("B", r)
+        hit = applied.get(sigma.images)
+        if hit is None:
+            hit = applied[sigma.images] = (
+                apply_boundaries(model.complex, sigma),
+                _sigma_vector(sigma, model.cycle.vector),
+            )
+        boundaries, vector = hit
+        summaries = homology_of_applied(model.complex, boundaries, sigma.weight)
+        return _znat(model, sigma, summaries, vector).order.as_fraction()
 
     pts = [(r, evaluate(r)) for r in rs]
     if len(pts) == 1:
@@ -454,12 +483,7 @@ def unknotting_bound(model: KnotModel, sigma: BaseChange) -> UnknottingReport:
         bound = tau.as_fraction() / lam.as_fraction()
         n = -(-bound.numerator // bound.denominator)  # ceil for the move test
     else:
-        n = 0
-        while n < 10000 and not lam.scale(n) >= tau:
-            n += 1
-        if not lam.scale(n) >= tau:
-            raise IntegrityError("no integer multiple of lambda dominates tau")
-        bound = n
+        n = bound = lex_ceiling(tau, lam)
     annihilation = []
     for d in sorted(summaries):
         if not summaries[d].torsion_ords:
@@ -475,6 +499,20 @@ def unknotting_bound(model: KnotModel, sigma: BaseChange) -> UnknottingReport:
         )
         annihilation.append((d, n, "pass" if ok else "FAIL"))
     return UnknottingReport(tau, bound, annihilation, move_label)
+
+
+def lex_ceiling(tau: Order, lam: Order) -> int:
+    """The least n >= 0 with n*lam >= tau in the lex order of the value group."""
+    if tau <= tau - tau:
+        return 0
+    # n*lam vanishes before lam's first nonzero entry i, so tau must too, and
+    # tau > 0 then needs lam[i] > 0; the ceiling of tau[i]/lam[i] meets tau
+    # at entry i, and one more multiple exceeds it there if the tail falls short.
+    i = next((k for k, a in enumerate(lam.vec) if a), None)
+    if i is None or lam.vec[i] < 0 or any(tau.vec[:i]):
+        raise IntegrityError("no integer multiple of lambda dominates tau")
+    n = math.ceil(tau.vec[i] / lam.vec[i])
+    return n if lam.scale(n) >= tau else n + 1
 
 
 def _compositions(n, k):
@@ -617,7 +655,8 @@ def invariant_report(model: KnotModel, sigma: BaseChange) -> str:
         s = summaries[d]
         tors = ", ".join(str(o) for o in s.torsion_ords) if s.torsion_ords else "-"
         lines.append(f"  degree {d}: free rank {s.free_rank}, torsion ords: {tors}")
-    z = znat_valuation(model, sigma)
+    _check_sigma(model, sigma)
+    z = _znat(model, sigma, summaries)
     lines.append(f"znat (valuation): ord {z.order}")
     lines.append(f"f_sigma = {z.order}")
     if sigma.name == "B":
@@ -627,10 +666,12 @@ def invariant_report(model: KnotModel, sigma: BaseChange) -> str:
         lines.append(f"znat (BN level): {describe_bn_ideal(bn)}")
     except UnsupportedPresentation as exc:
         lines.append(f"znat (BN level): unavailable ({exc})")
+    # f_plus is also the clasp bound: compute it once, for both lines.
     try:
         fp = f_plus(model)
         lines.append(f"f_plus = {fp}")
     except (RankNotOne, CycleInTorsion, IntegrityError) as exc:
+        fp = None
         lines.append(f"f_plus: unavailable ({exc})")
     lines.append("bounds:")
     if len(pi.vec) == 1:
@@ -641,10 +682,10 @@ def invariant_report(model: KnotModel, sigma: BaseChange) -> str:
         )
     else:
         lines.append("  slice genus: n/a under a lex value group")
-    try:
-        lines.append(f"  clasp number c_plus >= {clasp_bound(model)}")
-    except (RankNotOne, CycleInTorsion, IntegrityError):
+    if fp is None:
         lines.append("  clasp number: n/a for this model")
+    else:
+        lines.append(f"  clasp number c_plus >= {fp}")
     if not sigma.nonorientable_valid():
         lines.append("  eta: n/a (base change is not nonorientable-valid)")
         lines.append("  b1 (Gordon-Litherland): n/a (base change is not nonorientable-valid)")

@@ -168,6 +168,26 @@ def test_ideal_equality_is_extensional():
     assert a != FractionalIdeal.unit(BN)
 
 
+def test_equal_ideals_hash_alike():
+    a = FractionalIdeal.from_gens(BN, [L(), P(BN)])
+    b = FractionalIdeal.from_gens(BN, [P(BN), L()])
+    c = FractionalIdeal.from_gens(BN, [L(), P(BN), L() + P(BN)])
+    assert len({a, b, c}) == 1
+    assert len({a, FractionalIdeal.unit(BN)}) == 2
+
+
+def test_equal_fractional_ideals_hash_alike():
+    one = LaurentElement.one(BN)
+    a = FractionalIdeal.from_gens(BN, [LaurentFraction(one, L()), LaurentFraction(one, P(BN))])
+    b = FractionalIdeal.from_gens(BN, [
+        LaurentFraction(one, L()), LaurentFraction(L() + P(BN), L() * P(BN)),
+    ])
+    c = FractionalIdeal.from_gens(BN, [LaurentFraction(P(BN), L() * P(BN))])
+    d = FractionalIdeal.from_gens(BN, [LaurentFraction(one, L())])
+    assert a == b and c == d
+    assert len({a, b, c, d}) == 2
+
+
 def test_unit_ideal_contains_ring_elements():
     unit = FractionalIdeal.unit(BN)
     assert unit.contains(L() ** 2 + P(BN))

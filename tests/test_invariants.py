@@ -39,6 +39,7 @@ from concordia.invariants import (
     f_sigma,
     gordon_litherland_bound,
     invariant_report,
+    lex_ceiling,
     map_injectivity,
     slice_genus_bound,
     unknotting_bound,
@@ -295,6 +296,29 @@ def test_unknotting_bound_under_lex():
     assert report.tau == Order.lex(0, 1)
     assert report.bound == 1
     assert report.annihilation == [(1, 1, "pass")]
+
+
+@pytest.mark.parametrize("tau, lam, n", [
+    (Order.lex(20000, 5), Order.lex(1, 0), 20001),   # more than 10000 multiples
+    (Order.lex(20000, 0), Order.lex(1, 0), 20000),
+    (Order.lex(0, 30001), Order.lex(0, 3), 10001),
+    (Order.lex(0, 0), Order.lex(0, 1), 0),
+    (Order.lex(-1, 5), Order.lex(0, -1), 0),
+    (Order.lex(0, 1), Order.lex(Fraction(1, 4), -7), 1),
+])
+def test_lex_ceiling(tau, lam, n):
+    assert lex_ceiling(tau, lam) == n
+
+
+@pytest.mark.parametrize("tau, lam", [
+    (Order.lex(1, 0), Order.lex(0, 1)),
+    (Order.lex(0, 1), Order.lex(0, 0)),
+    (Order.lex(0, 1), Order.lex(-1, 5)),
+    (Order.lex(0, 1), Order.lex(0, -1)),
+])
+def test_lex_ceiling_without_a_solution_raises(tau, lam):
+    with pytest.raises(IntegrityError, match="no integer multiple"):
+        lex_ceiling(tau, lam)
 
 
 # -- connected sums -----------------------------------------------------------------------
