@@ -10,16 +10,22 @@ Groebner basis under graded reverse lexicographic order with the T-variables
 before the U-variables, and reduce.
 
 The reduced Groebner basis is unique for a given monomial order, which makes
-ideal computations deterministic regardless of generator order; bases are
-cached per generator set.  The environment variable CONCORDIA_GB_MAXDEG caps
-the degree of any new basis element so a pathological input aborts with a
-diagnostic instead of running unbounded.
+ideal computations deterministic regardless of generator order; the four
+most recently used bases are cached per generator set.  Reduction takes each
+leading term from a heap.  A g-region computes one basis for its whole box
+and makes one short reduction per cell, walking normal forms from cell to
+cell.  The environment variable CONCORDIA_GB_MAXDEG caps the degree of any
+new basis element so a pathological input aborts with a diagnostic instead
+of running unbounded.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 import os
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import (
@@ -84,22 +90,38 @@ def saturation_relations(ring: Ring):
 
 # -- Groebner engine ----------------------------------------------------------
 
+def _heap_key(t):
+    """grevlex_key negated, so the leading term is the heap minimum."""
+    return (-sum(t),) + t[::-1]
+
+
 def poly_reduce(p: Poly2, basis) -> Poly2:
-    """Full normal form of p modulo the basis (multi-divisor division)."""
+    """Full normal form of p modulo the basis (multi-divisor division).
+
+    The terms still to be reduced are a set with a heap of their keys beside
+    it.  A term's key is pushed when it enters the set; an entry whose term
+    has since cancelled is skipped when it reaches the top.  A reduction step
+    only adds terms below the one it removes, so a removed term never returns.
+    """
     lts = [(g.leading_term(), g.terms) for g in basis]
     rest = set(p.terms)
+    heap = [(_heap_key(t), t) for t in rest]
+    heapq.heapify(heap)
     out = set()
-    while rest:
-        lt = max(rest, key=grevlex_key)
+    while heap:
+        lt = heapq.heappop(heap)[1]
+        if lt not in rest:
+            continue
         for glt, gterms in lts:
             if divides(glt, lt):
-                shift = tuple(a - b for a, b in zip(lt, glt))
+                shift = tuple(map(operator.sub, lt, glt))
                 for t in gterms:
-                    m = tuple(a + b for a, b in zip(shift, t))
+                    m = tuple(map(operator.add, shift, t))
                     if m in rest:
                         rest.discard(m)
                     else:
                         rest.add(m)
+                        heapq.heappush(heap, (_heap_key(m), m))
                 break
         else:
             rest.discard(lt)
@@ -198,7 +220,11 @@ def buchberger(gens, cap=None) -> tuple:
     return tuple(reduced)
 
 
-_GB_CACHE = {}
+# The most recently used bases, least recent first.  A report reads one basis
+# and a g-region deck reads a basis again at most two others after building
+# it, so four keeps every re-read.
+_GB_CACHE = OrderedDict()
+_GB_CACHE_SIZE = 4
 
 
 def groebner_for(ring: Ring, cleared_gens) -> tuple:
@@ -209,6 +235,10 @@ def groebner_for(ring: Ring, cleared_gens) -> tuple:
     if hit is None:
         hit = buchberger(polys + saturation_relations(ring))
         _GB_CACHE[key] = hit
+        if len(_GB_CACHE) > _GB_CACHE_SIZE:
+            _GB_CACHE.popitem(last=False)
+    else:
+        _GB_CACHE.move_to_end(key)
     return hit
 
 
@@ -258,27 +288,34 @@ class FractionalIdeal:
     def unit(cls, ring: Ring):
         return cls.from_gens(ring, [LaurentElement.one(ring)])
 
+    def _cleared(self, den):
+        """D, the product of the generator denominators, and the generators
+        times den * D: a / den is in the ideal iff a * D is in the Laurent
+        ideal of the cleared generators."""
+        dens = [g.den for g in self.gens]
+        prod_all = LaurentElement.one(self.ring)
+        for d in dens:
+            prod_all = prod_all * d
+        cleared = []
+        for i, g in enumerate(self.gens):
+            rest = den
+            for j, d in enumerate(dens):
+                if j != i:
+                    rest = rest * d
+            cleared.append(g.num * rest)
+        return prod_all, cleared
+
     def contains(self, x) -> bool:
         x = _as_fraction(x)
         if x.ring is not self.ring:
             raise RingMismatch("membership test across rings")
         if x.is_zero():
             return True
-        # Clear all denominators with one common multiplier D = x.den * prod(dens):
-        # x*D = x.num * prod(dens) and gen_i*D = gen_i.num * x.den * prod(dens - {i}).
-        dens = [g.den for g in self.gens]
-        prod_all = LaurentElement.one(self.ring)
-        for d in dens:
-            prod_all = prod_all * d
-        x_cl = x.num * prod_all
-        cleared = []
-        for i, g in enumerate(self.gens):
-            rest = x.den
-            for j, d in enumerate(dens):
-                if j != i:
-                    rest = rest * d
-            cleared.append(g.num * rest)
-        return laurent_member(x_cl, cleared, self.ring)
+        # A denominator left unreduced would multiply every cleared generator
+        # and give the query a Groebner basis of its own.
+        x = x.reduced()
+        prod_all, cleared = self._cleared(x.den)
+        return laurent_member(x.num * prod_all, cleared, self.ring)
 
     def is_subset(self, other) -> bool:
         return all(other.contains(g) for g in self.gens)
@@ -405,15 +442,34 @@ def membership(x, ideal) -> bool:
 
 
 def g_region(ideal: FractionalIdeal, g_max: int, d_max: int) -> set:
-    """All (g, delta) in the box with P^g * V^delta in the ideal (L in BN)."""
+    """All (g, delta) in the box with P^g * V^delta in the ideal (L in BN).
+
+    With D the product of the generator denominators, P^g * V^delta is in
+    the ideal iff D * P^g * V^delta is in the Laurent ideal of the cleared
+    generators.  One basis serves the whole box.  The saturated ideal holds
+    every T_i*U_i + 1, so the saturation of a product and the product of the
+    saturations agree modulo it, and the reduced basis gives each class one
+    normal form.  So the walk keeps the normal form of D * P^g down the rows,
+    steps along a row by multiplying by the saturation of V and reducing, and
+    a cell is in the ideal iff its normal form is 0.
+    """
     if g_max < 0 or d_max < 0:
         raise UsageError("g-region bounds must be nonnegative")
-    p = P(ideal.ring)
-    v = V() if ideal.ring is Ring.FULL else L()
+    ring = ideal.ring
+    prod_all, cleared = ideal._cleared(LaurentElement.one(ring))
+    basis = groebner_for(ring, cleared)
+    p = saturation_poly(P(ring))
+    v = saturation_poly(V() if ring is Ring.FULL else L())
     out = set()
+    row = poly_reduce(saturation_poly(prod_all), basis)
     for g in range(g_max + 1):
+        if g:
+            row = poly_reduce(p * row, basis)
+        cell = row
         for d in range(d_max + 1):
-            if ideal.contains(p ** g * v ** d):
+            if d:
+                cell = poly_reduce(v * cell, basis)
+            if cell.is_zero():
                 out.add((g, d))
     return out
 
