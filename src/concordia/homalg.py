@@ -647,6 +647,38 @@ def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
     return homology_of_applied(complex, apply_boundaries(complex, sigma), sigma.weight)
 
 
+def kunneth(h1: dict, h2: dict) -> dict:
+    """Homology of C (x) D over a valuation ring from the homology of C and D.
+
+    h1 and h2 map a degree to (free rank, torsion ords); so does the result,
+    with descending ords, keyed by the degrees that carry homology.  A free
+    complex over a valuation ring splits into free summands R and two-term
+    pieces R --a--> R with homology R/(a) at the target degree, so the rules
+    are R (x) R = R, R (x) R/(a) = R/(a), R/(a) (x) R/(b) = R/(min ord) and
+    Tor(R/(a), R/(b)) = R/(min ord).  The differentials raise degree, so the
+    Tor term of H_p (x) H_q sits in degree p + q - 1.
+    """
+    free = {}
+    torsion = {}
+    for p, (f1, t1) in h1.items():
+        for q, (f2, t2) in h2.items():
+            n = p + q
+            free[n] = free.get(n, 0) + f1 * f2
+            tors = torsion.setdefault(n, [])
+            tors.extend(a for a in t1 for _ in range(f2))
+            tors.extend(b for b in t2 for _ in range(f1))
+            mins = [min(a, b) for a in t1 for b in t2]
+            tors.extend(mins)
+            if mins:
+                torsion.setdefault(n - 1, []).extend(mins)
+    out = {}
+    for n in sorted(set(free) | set(torsion)):
+        f, tors = free.get(n, 0), torsion.get(n, [])
+        if f or tors:
+            out[n] = (f, tuple(sorted(tors, reverse=True)))
+    return out
+
+
 # -- serialization -----------------------------------------------------------------------
 
 def complex_to_json(complex: ChainComplex, cycle=None, name=None, signature=None) -> dict:

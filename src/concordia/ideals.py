@@ -12,11 +12,13 @@ before the U-variables, and reduce.
 The reduced Groebner basis is unique for a given monomial order, which makes
 ideal computations deterministic regardless of generator order; the four
 most recently used bases are cached per generator set.  Reduction takes each
-leading term from a heap.  A g-region computes one basis for its whole box
-and makes one short reduction per cell, walking normal forms from cell to
-cell.  The environment variable CONCORDIA_GB_MAXDEG caps the degree of any
-new basis element so a pathological input aborts with a diagnostic instead
-of running unbounded.
+leading term from a heap, and Buchberger hands its kept leading terms to
+the reducer.  A g-region computes one basis for its whole box and makes one
+short reduction per cell, walking normal forms from cell to cell; every
+membership query on an ideal reads the basis of its cleared generators.
+The environment variable CONCORDIA_GB_MAXDEG caps the degree of any new
+basis element so a pathological input aborts with a diagnostic instead of
+running unbounded.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     UsageError,
     ZeroElement,
 )
-from .field2 import Poly2, divides, grevlex_key
+from .field2 import Poly2, divides, grevlex_key, poly_div
 from .laurent import (
     L,
     LaurentElement,
@@ -43,6 +45,8 @@ from .laurent import (
     P,
     Ring,
     V,
+    clear_denominators,
+    from_poly,
     laurent_gcd,
     parse_laurent_fraction,
 )
@@ -95,15 +99,25 @@ def _heap_key(t):
     return (-sum(t),) + t[::-1]
 
 
-def poly_reduce(p: Poly2, basis) -> Poly2:
-    """Full normal form of p modulo the basis (multi-divisor division).
+def _leads(basis):
+    """(leading term, terms) of each basis element, in basis order."""
+    return [(g.leading_term(), g.terms) for g in basis]
 
-    The terms still to be reduced are a set with a heap of their keys beside
+
+def poly_reduce(p: Poly2, basis) -> Poly2:
+    """Full normal form of p modulo the basis (multi-divisor division)."""
+    return _reduce(p, _leads(basis))
+
+
+def _reduce(p: Poly2, lts) -> Poly2:
+    """Normal form of p modulo the divisors given as (leading term, terms).
+
+    The first divisor in list order whose leading term divides wins.  The
+    terms still to be reduced are a set with a heap of their keys beside
     it.  A term's key is pushed when it enters the set; an entry whose term
     has since cancelled is skipped when it reaches the top.  A reduction step
     only adds terms below the one it removes, so a removed term never returns.
     """
-    lts = [(g.leading_term(), g.terms) for g in basis]
     rest = set(p.terms)
     heap = [(_heap_key(t), t) for t in rest]
     heapq.heapify(heap)
@@ -187,14 +201,17 @@ def buchberger(gens, cap=None) -> tuple:
         alive[:] = [g for g in alive if not divides(lead[t], lead[g])]
         alive.append(t)
 
+    def divisors(indices):
+        return [(lead[a], basis[a].terms) for a in indices]
+
     for g in seed:
-        r = poly_reduce(g, [basis[a] for a in alive])
+        r = _reduce(g, divisors(alive))
         if not r.is_zero():
             add(r)
     while pairs:
         i, j = min(pairs, key=lambda p: (grevlex_key(lcm(*p)), p))
         pairs.discard((i, j))
-        r = poly_reduce(s_poly(basis[i], basis[j]), [basis[a] for a in alive])
+        r = _reduce(s_poly(basis[i], basis[j]), divisors(alive))
         if r.is_zero():
             continue
         if r.total_degree() > cap:
@@ -204,20 +221,21 @@ def buchberger(gens, cap=None) -> tuple:
             )
         add(r)
     # minimalize: drop elements whose leading term another one divides
-    final = sorted((basis[a] for a in alive), key=lambda g: grevlex_key(g.leading_term()))
+    final = sorted(alive, key=lambda a: grevlex_key(lead[a]))
     minimal = []
-    for g in final:
-        lt = g.leading_term()
-        if not any(divides(h.leading_term(), lt) for h in minimal):
-            minimal.append(g)
-    # tail-reduce to the unique reduced basis
+    for a in final:
+        if not any(divides(lead[b], lead[a]) for b in minimal):
+            minimal.append(a)
+    # tail-reduce to the unique reduced basis; no other lead divides a
+    # minimal element's lead, so reduction keeps it
+    lts = divisors(minimal)
     reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        reduced.append(poly_reduce(g, others))
-    reduced = [g for g in reduced if not g.is_zero()]
-    reduced.sort(key=lambda g: (grevlex_key(g.leading_term()), sorted(g.terms)))
-    return tuple(reduced)
+    for idx, a in enumerate(minimal):
+        g = _reduce(basis[a], lts[:idx] + lts[idx + 1:])
+        if not g.is_zero():
+            reduced.append((lead[a], g))
+    reduced.sort(key=lambda lg: (grevlex_key(lg[0]), sorted(lg[1].terms)))
+    return tuple(g for _, g in reduced)
 
 
 # The most recently used bases, least recent first.  A report reads one basis
@@ -266,6 +284,25 @@ def _as_fraction(x) -> LaurentFraction:
     raise TypeError(f"expected a Laurent element or fraction, got {type(x).__name__}")
 
 
+def _exact_quotient(a: LaurentElement, b: LaurentElement):
+    """a / b when b divides a in the Laurent ring, else None.
+
+    Monomials are units, so b divides a iff b's polynomial part, divided by
+    the largest monomial that divides it, divides a's polynomial part: one
+    exact division and no gcd.
+    """
+    if b.is_unit():
+        return a * b.inverse()
+    pa, ma = clear_denominators(a)
+    pb, mb = clear_denominators(b)
+    low = tuple(min(col) for col in zip(*pb.terms))
+    q = poly_div(pa, Poly2(pb.vars, (tuple(map(operator.sub, t, low)) for t in pb.terms)))
+    if q is None:
+        return None
+    unit = ma * from_poly(Poly2(pb.vars, (low,)), a.ring)
+    return from_poly(q, a.ring) * mb * unit.inverse()
+
+
 @dataclass(frozen=True)
 class FractionalIdeal:
     """Finitely generated submodule of the fraction field of S_BN or R."""
@@ -288,17 +325,17 @@ class FractionalIdeal:
     def unit(cls, ring: Ring):
         return cls.from_gens(ring, [LaurentElement.one(ring)])
 
-    def _cleared(self, den):
+    def _cleared(self):
         """D, the product of the generator denominators, and the generators
-        times den * D: a / den is in the ideal iff a * D is in the Laurent
-        ideal of the cleared generators."""
+        times D: x is in the ideal iff x * D is in the Laurent ideal of the
+        cleared generators."""
         dens = [g.den for g in self.gens]
         prod_all = LaurentElement.one(self.ring)
         for d in dens:
             prod_all = prod_all * d
         cleared = []
         for i, g in enumerate(self.gens):
-            rest = den
+            rest = LaurentElement.one(self.ring)
             for j, d in enumerate(dens):
                 if j != i:
                     rest = rest * d
@@ -311,11 +348,13 @@ class FractionalIdeal:
             raise RingMismatch("membership test across rings")
         if x.is_zero():
             return True
-        # A denominator left unreduced would multiply every cleared generator
-        # and give the query a Groebner basis of its own.
-        x = x.reduced()
-        prod_all, cleared = self._cleared(x.den)
-        return laurent_member(x.num * prod_all, cleared, self.ring)
+        # x * D must be a Laurent element before the generators' basis can
+        # decide, so x = a / b needs b to divide a * D.
+        prod_all, cleared = self._cleared()
+        scaled = _exact_quotient(x.num * prod_all, x.den)
+        if scaled is None:
+            return False
+        return laurent_member(scaled, cleared, self.ring)
 
     def is_subset(self, other) -> bool:
         return all(other.contains(g) for g in self.gens)
@@ -456,19 +495,19 @@ def g_region(ideal: FractionalIdeal, g_max: int, d_max: int) -> set:
     if g_max < 0 or d_max < 0:
         raise UsageError("g-region bounds must be nonnegative")
     ring = ideal.ring
-    prod_all, cleared = ideal._cleared(LaurentElement.one(ring))
-    basis = groebner_for(ring, cleared)
+    prod_all, cleared = ideal._cleared()
+    lts = _leads(groebner_for(ring, cleared))
     p = saturation_poly(P(ring))
     v = saturation_poly(V() if ring is Ring.FULL else L())
     out = set()
-    row = poly_reduce(saturation_poly(prod_all), basis)
+    row = _reduce(saturation_poly(prod_all), lts)
     for g in range(g_max + 1):
         if g:
-            row = poly_reduce(p * row, basis)
+            row = _reduce(p * row, lts)
         cell = row
         for d in range(d_max + 1):
             if d:
-                cell = poly_reduce(v * cell, basis)
+                cell = _reduce(v * cell, lts)
             if cell.is_zero():
                 out.add((g, d))
     return out

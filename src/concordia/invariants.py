@@ -13,12 +13,19 @@ Over a valuation ring znat is principal and f_sigma is its ord.  Over S_BN
 (no valuation) the same construction runs through an exact rank-1 module
 realization when the presentation has a single relation; the result is a
 generator-list fractional ideal compared by Groebner containment.
+
+A connected sum keeps its factors.  Over a valuation ring its homology is
+evaluated factor by factor: each factor's homology is computed once and the
+results are folded by the Kunneth formula, and the free coefficient of the
+tensor cycle's class is the product of the factors' coefficients.  No Smith
+form runs on the tensor complex, which is kept for the BN level, the JSON
+form and the d^2 check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .basechange import BaseChange, builtin
@@ -44,6 +51,7 @@ from .homalg import (
     complex_to_json,
     homology_of_applied,
     homology_over_valuation,
+    kunneth,
     lmat_is_zero,
     tensor,
     tensor_generators,
@@ -71,13 +79,17 @@ from .valuation import Order
 
 @dataclass
 class KnotModel:
-    """Chain complex + distinguished vector + cobordism metadata."""
+    """Chain complex + distinguished vector + cobordism metadata.
+
+    factors lists the summands of a connected sum, empty for any other model.
+    """
 
     name: str
     complex: ChainComplex
     cycle: DistinguishedCycle
     signature: int = None
     expected_ideal: FractionalIdeal = None
+    factors: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         validate_cycle(self.complex, self.cycle)
@@ -128,10 +140,79 @@ def _sigma_vector(sigma: BaseChange, vec):
     return [sigma.apply(e) for e in vec]
 
 
+class SumHomology:
+    """Homology of a connected sum at one degree, folded from its factors.
+
+    torsion_ords descend; parts pairs each factor with its homology summaries
+    over the same valuation ring, and the class of the sum's cycle is read
+    from them.  A plain class: a dataclass would add a millisecond to every
+    import of the package.
+    """
+
+    __slots__ = ("degree", "free_rank", "torsion_ords", "parts")
+
+    def __init__(self, degree, free_rank, torsion_ords, parts):
+        self.degree = degree
+        self.free_rank = free_rank
+        self.torsion_ords = torsion_ords
+        self.parts = parts
+
+
+def _homology(model: KnotModel, sigma: BaseChange) -> dict:
+    """Per-degree homology of the model over sigma's valuation ring.
+
+    A connected sum is evaluated factor by factor and folded by Kunneth; the
+    folded ranks are audited against the tensor complex, degree by degree
+    and by Euler characteristic.  Any other model goes through Smith forms.
+    """
+    if not model.factors:
+        return homology_over_valuation(model.complex, sigma)
+    parts = tuple((f, homology_over_valuation(f.complex, sigma)) for f in model.factors)
+    folded = {0: (1, ())}
+    for _, summaries in parts:
+        folded = kunneth(folded, {d: (s.free_rank, s.torsion_ords)
+                                  for d, s in summaries.items()})
+    c = model.complex
+    out = {}
+    for d in sorted(set(c.degrees()) | set(folded)):
+        free, torsion = folded.get(d, (0, ()))
+        if free + len(torsion) > c.rank(d):
+            raise IntegrityError("free rank plus torsion exceeds the ambient rank")
+        out[d] = SumHomology(d, free, torsion, parts)
+    if (sum((-1) ** d * s.free_rank for d, s in out.items())
+            != sum((-1) ** d * c.rank(d) for d in c.degrees())):
+        raise IntegrityError("Euler characteristic of the folded homology "
+                             "differs from the tensor complex's")
+    return out
+
+
 def znat_valuation(model: KnotModel, sigma: BaseChange) -> ValuationIdeal:
     """The principal ideal znat over the valuation ring of sigma."""
     _check_sigma(model, sigma)
-    return _znat(model, sigma, homology_over_valuation(model.complex, sigma))
+    return _znat(model, sigma, _homology(model, sigma))
+
+
+def _free_coefficients(model: KnotModel, sigma: BaseChange, summary, vector):
+    """Free coefficients of the cycle's class; their product is its coefficient.
+
+    For a connected sum, [v1 (x) v2] maps to [v1] (x) [v2] in the free
+    quotient of the homology, so each factor contributes the coefficient of
+    its own cycle, and sigma is never applied to the tensor cycle.
+    """
+    if isinstance(summary, SumHomology):
+        classes = ((part[f.cycle.degree], _sigma_vector(sigma, f.cycle.vector))
+                   for f, part in summary.parts)
+    else:
+        if vector is None:
+            vector = _sigma_vector(sigma, model.cycle.vector)
+        classes = [(summary, vector)]
+    coeffs = []
+    for s, vec in classes:
+        _, free = s.class_coords(vec)
+        if not free or free[0].is_zero():
+            raise CycleInTorsion("distinguished class has no free part")
+        coeffs.append(free[0])
+    return coeffs
 
 
 def _znat(model: KnotModel, sigma: BaseChange, summaries: dict,
@@ -151,16 +232,17 @@ def _znat(model: KnotModel, sigma: BaseChange, summaries: dict,
             f"homology at degree {model.cycle.degree} has free rank "
             f"{summary.free_rank}, need 1"
         )
-    if vector is None:
-        vector = _sigma_vector(sigma, model.cycle.vector)
     shift = sigma.sigma_P() ** g * sigma.sigma_V() ** dplus
     shift_ord = pi.scale(g) + lam.scale(dplus)
     if model.cycle.direction == UNKNOT_TO_K:
-        _, free = summary.class_coords(vector)
-        c = free[0]
-        if c.is_zero():
-            raise CycleInTorsion("distinguished class has no free part")
-        return ValuationIdeal(shift / c, shift_ord - sigma.weight.ord_rf(c))
+        order = shift_ord
+        c = None
+        for ci in _free_coefficients(model, sigma, summary, vector):
+            order = order - sigma.weight.ord_rf(ci)
+            c = ci if c is None else c * ci
+        return ValuationIdeal(shift / c, order)
+    if vector is None:
+        vector = _sigma_vector(sigma, model.cycle.vector)
     lift = summary.free_generator_lift()
     val = None
     for a, b in zip(vector, lift):
@@ -313,6 +395,34 @@ class ProfileReport:
         return "\n".join(lines)
 
 
+def f_r_evaluator(model: KnotModel):
+    """The function r -> f_r(model), the ord of znat under B(r).
+
+    B(r) sends T0..T3 to the same images for every r: sigma is applied to
+    the boundaries and the cycle once per set of images, only the weight
+    varies with r, and each r is evaluated once.
+    """
+    applied = {}
+    values = {}
+
+    def f_r(r) -> Order:
+        r = Fraction(r)
+        if r not in values:
+            sigma = builtin("B", r)
+            hit = applied.get(sigma.images)
+            if hit is None:
+                hit = applied[sigma.images] = (
+                    apply_boundaries(model.complex, sigma),
+                    _sigma_vector(sigma, model.cycle.vector),
+                )
+            boundaries, vector = hit
+            summaries = homology_of_applied(model.complex, boundaries, sigma.weight)
+            values[r] = _znat(model, sigma, summaries, vector).order
+        return values[r]
+
+    return f_r
+
+
 def f_profile(model: KnotModel, samples, depth: int = 6) -> ProfileReport:
     """Evaluate r -> f_r on the samples and fit exact affine segments."""
     rs = [Fraction(r) for r in samples]
@@ -321,21 +431,10 @@ def f_profile(model: KnotModel, samples, depth: int = 6) -> ProfileReport:
     if rs[0] <= 0 or rs[-1] > 1:
         raise UsageError("samples must lie in (0, 1]")
 
-    # B(r) sends T0..T3 to the same images for every r: apply sigma to the
-    # boundaries and the cycle once per set of images, vary only the weight.
-    applied = {}
+    f_r = f_r_evaluator(model)
 
     def evaluate(r: Fraction) -> Fraction:
-        sigma = builtin("B", r)
-        hit = applied.get(sigma.images)
-        if hit is None:
-            hit = applied[sigma.images] = (
-                apply_boundaries(model.complex, sigma),
-                _sigma_vector(sigma, model.cycle.vector),
-            )
-        boundaries, vector = hit
-        summaries = homology_of_applied(model.complex, boundaries, sigma.weight)
-        return _znat(model, sigma, summaries, vector).order.as_fraction()
+        return f_r(r).as_fraction()
 
     pts = [(r, evaluate(r)) for r in rs]
     if len(pts) == 1:
@@ -469,7 +568,7 @@ def unknotting_bound(model: KnotModel, sigma: BaseChange) -> UnknottingReport:
     """tau / lambda, plus the move-ideal annihilation check per cyclic degree."""
     _check_sigma(model, sigma)
     _, lam = sigma.pi_lambda()
-    summaries = homology_over_valuation(model.complex, sigma)
+    summaries = _homology(model, sigma)
     tau = None
     for s in summaries.values():
         for o in s.torsion_ords:
@@ -535,7 +634,12 @@ def _power_product(gens, powers, ring):
 # -- connected sums -----------------------------------------------------------------
 
 def connected_sum(k1: KnotModel, k2: KnotModel) -> KnotModel:
-    """Tensor the complexes and the distinguished cycles."""
+    """Tensor the complexes and the distinguished cycles, keeping the factors.
+
+    The tensor complex and cycle serve the BN level, the JSON form and the
+    d^2 check; over a valuation ring the sum is evaluated factor by factor
+    by the Kunneth formula, with no Smith form on the tensor complex.
+    """
     if k1.ring is not k2.ring:
         raise RingMismatch("connected sum across rings")
     if k1.cycle.direction != UNKNOT_TO_K or k2.cycle.direction != UNKNOT_TO_K:
@@ -562,7 +666,8 @@ def connected_sum(k1: KnotModel, k2: KnotModel) -> KnotModel:
     sig = None
     if k1.signature is not None and k2.signature is not None:
         sig = k1.signature + k2.signature
-    return KnotModel(f"{k1.name} # {k2.name}", c, cycle, sig)
+    factors = (k1.factors or (k1,)) + (k2.factors or (k2,))
+    return KnotModel(f"{k1.name} # {k2.name}", c, cycle, sig, factors=factors)
 
 
 def as_forward(model: KnotModel) -> KnotModel:
@@ -649,7 +754,7 @@ def invariant_report(model: KnotModel, sigma: BaseChange) -> str:
     ]
     pi, lam = sigma.pi_lambda()
     lines.append(f"(pi, lambda) = ({pi}, {lam})")
-    summaries = homology_over_valuation(model.complex, sigma)
+    summaries = _homology(model, sigma)
     lines.append("homology over the valuation ring:")
     for d in sorted(summaries):
         s = summaries[d]

@@ -42,12 +42,15 @@ def _mixed_sum():
     _mixed_sum,
 ])
 def test_report_computes_homology_twice_with_two_smith_passes_per_degree(monkeypatch, make):
+    # a connected sum computes the homology of each factor, never the tensor's
     model = make()
+    parts = model.factors or (model,)
     homology = _counted(monkeypatch, invariants, "homology_over_valuation")
     smith = _counted(monkeypatch, homalg, "smith_diagonalize")
     invariant_report(model, B_HALF)
-    assert [args[1].name for args in homology] == ["B", "C"]
-    assert len(smith) == 2 * 2 * len(model.complex.degrees())
+    assert [args[1].name for args in homology] == ["B"] * len(parts) + ["C"] * len(parts)
+    assert [args[0] for args in homology] == [p.complex for p in parts] * 2
+    assert len(smith) == 2 * 2 * sum(len(p.complex.degrees()) for p in parts)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "trefoil_left", "exampleE"])
