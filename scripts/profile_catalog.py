@@ -7,7 +7,6 @@ Usage:
 import argparse
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from concordia import catalog

@@ -13,6 +13,7 @@ canonical form, so equality is plain structural equality.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -24,6 +25,20 @@ Term = tuple  # exponent tuple, aligned with Poly2.vars
 def grevlex_key(exps):
     """Sort key realising graded reverse lexicographic order (bigger = later)."""
     return (sum(exps),) + tuple(-e for e in reversed(exps))
+
+
+def term_product(xs, ys):
+    """Support of the product of two F2 term sets: every sum of an exponent
+    tuple from xs and one from ys, with sums that occur twice cancelling."""
+    acc = set()
+    for a in xs:
+        for b in ys:
+            t = tuple(map(operator.add, a, b))
+            if t in acc:
+                acc.discard(t)
+            else:
+                acc.add(t)
+    return acc
 
 
 class Poly2:
@@ -100,15 +115,8 @@ class Poly2:
     def is_one(self):
         return self.terms == {(0,) * len(self.vars)}
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def total_degree(self):
         return max((sum(t) for t in self.terms), default=0)
-
-    def degree_in(self, name):
-        i = self.vars.index(name)
-        return max((t[i] for t in self.terms), default=0)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -126,17 +134,7 @@ class Poly2:
 
     def __mul__(self, other):
         self._check(other)
-        if not self.terms or not other.terms:
-            return Poly2.zero(self.vars)
-        acc = set()
-        for a in self.terms:
-            for b in other.terms:
-                t = tuple(x + y for x, y in zip(a, b))
-                if t in acc:
-                    acc.discard(t)
-                else:
-                    acc.add(t)
-        return Poly2(self.vars, acc)
+        return Poly2(self.vars, term_product(self.terms, other.terms))
 
     def square(self):
         return Poly2(self.vars, (tuple(2 * e for e in t) for t in self.terms))
@@ -225,7 +223,7 @@ def poly_div(num, den):
     return Poly2(num.vars, quot)
 
 
-# -- gcd via primitive pseudo-remainder sequences -----------------------------
+# -- gcd via subresultant remainder sequences ----------------------------------
 
 def _to_univar(p, vi):
     """Split p as a univariate in variable index vi with Poly2 coefficients."""

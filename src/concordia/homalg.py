@@ -53,28 +53,30 @@ UNKNOT_TO_K = "unknot-to-K"
 K_TO_UNKNOT = "K-to-unknot"
 
 
-# -- Laurent matrix helpers ------------------------------------------------------
+# -- matrix helpers ------------------------------------------------------------------
+#
+# One family for both entry kinds: Laurent elements in the complexes and
+# rational functions after a base change; zero is the zero of the entries'
+# ring.  They read rows given as tuples or lists and return tuples of tuples,
+# which is what ChainComplex maps hold and what equality checks compare.
 
-def lzeros(rows, cols, ring):
-    z = LaurentElement.zero(ring)
-    return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
-
-
-def lidentity(n, ring):
-    one = LaurentElement.one(ring)
-    z = LaurentElement.zero(ring)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+def zeros(rows, cols, zero):
+    return tuple((zero,) * cols for _ in range(rows))
 
 
-def lmat_mul(a, b, ring):
+def identity(n, one, zero):
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b, zero):
     if not a or not b:
-        return lzeros(len(a), len(b[0]) if b else 0, ring)
+        return zeros(len(a), len(b[0]) if b else 0, zero)
     n_mid = len(b)
     out = []
     for row in a:
         if len(row) != n_mid:
             raise RingMismatch("matrix shapes do not compose")
-        acc = [LaurentElement.zero(ring) for _ in range(len(b[0]))]
+        acc = [zero] * len(b[0])
         for k, entry in enumerate(row):
             if entry.is_zero():
                 continue
@@ -85,52 +87,14 @@ def lmat_mul(a, b, ring):
     return tuple(out)
 
 
-def lmat_is_zero(m):
+def is_zero(m):
     return all(e.is_zero() for row in m for e in row)
 
 
-def ltranspose(m):
+def transpose(m):
     if not m:
         return ()
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
-
-
-def ldet(m, ring):
-    """Determinant by cofactor expansion (no signs in characteristic 2)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise RingMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return LaurentElement.one(ring)
-    if n == 1:
-        return m[0][0]
-    total = LaurentElement.zero(ring)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        total = total + m[0][j] * ldet(minor, ring)
-    return total
-
-
-def linverse(m, ring):
-    """Inverse of a matrix whose determinant is a unit (a single monomial)."""
-    d = ldet(m, ring)
-    if not d.is_unit():
-        raise NotInvertible(f"determinant {d} is not a unit")
-    n = len(m)
-    dinv = d.inverse()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != i)
-                for r in range(n) if r != j
-            )
-            row.append(ldet(minor, ring) * dinv)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # -- complexes ---------------------------------------------------------------------
@@ -164,8 +128,12 @@ class ChainComplex:
                         raise RingMismatch("matrix entry over the wrong ring")
         for k in list(self.maps):
             nxt = self.maps.get(k + 1)
-            if nxt is not None and not lmat_is_zero(lmat_mul(self.maps[k], nxt, self.ring)):
+            if nxt is not None and not is_zero(mat_mul(self.maps[k], nxt, self.zero)):
                 raise IntegrityError(f"differential squared is nonzero at degree {k}")
+
+    @property
+    def zero(self):
+        return LaurentElement.zero(self.ring)
 
     def rank(self, d):
         return self.ranks.get(d, 0)
@@ -178,10 +146,7 @@ class ChainComplex:
         m = self.maps.get(k)
         if m is not None:
             return m
-        return lzeros(self.rank(k - 1), self.rank(k), self.ring)
-
-    def total_rank(self):
-        return sum(self.ranks.values())
+        return zeros(self.rank(k - 1), self.rank(k), self.zero)
 
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
@@ -216,16 +181,16 @@ def validate_cycle(complex: ChainComplex, cycle: DistinguishedCycle):
     n = complex.rank(cycle.degree)
     if len(cycle.vector) != n:
         raise NotACycle(f"vector length {len(cycle.vector)} != rank {n} in degree {cycle.degree}")
-    ring = complex.ring
+    zero = complex.zero
     if cycle.direction == UNKNOT_TO_K:
         out = complex.map_into(cycle.degree + 1)
-        image = lmat_mul((tuple(cycle.vector),), out, ring)
-        if not lmat_is_zero(image):
+        image = mat_mul((tuple(cycle.vector),), out, zero)
+        if not is_zero(image):
             raise NotACycle("distinguished vector is not killed by the differential")
     else:
         incoming = complex.map_into(cycle.degree)
-        pairing = lmat_mul(incoming, ltranspose((tuple(cycle.vector),)), ring)
-        if not lmat_is_zero(pairing):
+        pairing = mat_mul(incoming, transpose((tuple(cycle.vector),)), zero)
+        if not is_zero(pairing):
             raise NotACycle("cofunctional does not vanish on boundaries")
 
 
@@ -246,11 +211,11 @@ class ChainMap:
         for k, b in self.blocks.items():
             if len(b) != self.source.rank(k) or any(len(r) != self.target.rank(k) for r in b):
                 raise NotAChainMap(f"block at degree {k} has the wrong shape")
-        ring = self.source.ring
+        zero = self.source.zero
         degs = set(self.source.ranks) | set(self.target.ranks)
         for k in degs:
-            left = lmat_mul(self.block(k), self.target.map_into(k + 1), ring)
-            right = lmat_mul(self.source.map_into(k + 1), self.block(k + 1), ring)
+            left = mat_mul(self.block(k), self.target.map_into(k + 1), zero)
+            right = mat_mul(self.source.map_into(k + 1), self.block(k + 1), zero)
             if left != right:
                 raise NotAChainMap(f"blocks do not commute with differentials at degree {k}")
 
@@ -258,13 +223,12 @@ class ChainMap:
         b = self.blocks.get(k)
         if b is not None:
             return b
-        return lzeros(self.source.rank(k), self.target.rank(k), self.source.ring)
+        return zeros(self.source.rank(k), self.target.rank(k), self.source.zero)
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of f: A -> B with Cone_k = A_{k+1} (+) B_k and d(a, b) = (da, f(a) + db)."""
     a, b = f.source, f.target
-    ring = a.ring
     degs = sorted(
         {d - 1 for d in a.ranks if a.rank(d) > 0} | {d for d in b.ranks if b.rank(d) > 0}
     )
@@ -282,11 +246,11 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         for i in range(a.rank(k)):
             rows.append(tuple(ua[i]) + tuple(fb[i]))
         ub = b.map_into(k)            # B_{k-1} -> B_k
-        za = lzeros(b.rank(k - 1), a.rank(k + 1), ring)
+        za = (a.zero,) * a.rank(k + 1)
         for i in range(b.rank(k - 1)):
-            rows.append(tuple(za[i]) + tuple(ub[i]))
+            rows.append(za + tuple(ub[i]))
         maps[k] = tuple(rows)
-    return ChainComplex(ring, ranks, maps)
+    return ChainComplex(a.ring, ranks, maps)
 
 
 def tensor_generators(c: ChainComplex, d: ChainComplex, n: int):
@@ -315,7 +279,7 @@ def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
         gens[n] = g
         ranks[n] = len(g)
     maps = {}
-    zero = LaurentElement.zero(ring)
+    zero = c.zero
     for n in range(lo + 1, hi + 1):
         src, tgt = gens[n - 1], gens[n]
         if not src or not tgt:
@@ -348,7 +312,7 @@ def dualize(c: ChainComplex) -> ChainComplex:
     maps = {}
     for k, m in c.maps.items():
         # m: degree k-1 -> k dualizes to degree -k -> -(k-1), stored at -(k-1).
-        maps[-(k - 1)] = ltranspose(m)
+        maps[-(k - 1)] = transpose(m)
     return ChainComplex(c.ring, ranks, maps)
 
 
@@ -357,65 +321,41 @@ def shift(c: ChainComplex, s: int) -> ChainComplex:
                         {k + s: m for k, m in c.maps.items()})
 
 
-def shift_cycle(cycle: DistinguishedCycle, s: int) -> DistinguishedCycle:
-    return DistinguishedCycle(cycle.degree + s, cycle.vector, cycle.genus,
-                              cycle.dplus, cycle.direction)
+def change_basis(c: ChainComplex, degree: int, a, a_inv) -> ChainComplex:
+    """Replace the degree's basis by the rows of a (new basis in old coordinates).
 
-
-def change_basis(c: ChainComplex, degree: int, a) -> ChainComplex:
-    """Replace the degree's basis by the rows of a (new basis in old coordinates)."""
+    a_inv is the inverse of a; the product a * a_inv must be the identity.
+    """
     n = c.rank(degree)
-    a = tuple(tuple(row) for row in a)
-    if len(a) != n or any(len(r) != n for r in a):
-        raise NotInvertible(f"basis-change matrix must be {n}x{n}")
-    ainv = linverse(a, c.ring)
+    a, a_inv = (tuple(tuple(row) for row in m) for m in (a, a_inv))
+    if any(len(m) != n or any(len(r) != n for r in m) for m in (a, a_inv)):
+        raise NotInvertible(f"basis-change matrices must be {n}x{n}")
+    if mat_mul(a, a_inv, c.zero) != identity(n, LaurentElement.one(c.ring), c.zero):
+        raise NotInvertible("the basis change times its given inverse is not the identity")
     maps = dict(c.maps)
     if c.rank(degree - 1):
-        maps[degree] = lmat_mul(c.map_into(degree), ainv, c.ring)
+        maps[degree] = mat_mul(c.map_into(degree), a_inv, c.zero)
     if c.rank(degree + 1):
-        maps[degree + 1] = lmat_mul(a, c.map_into(degree + 1), c.ring)
-    return ChainComplex(c.ring, dict(c.ranks), maps), ainv
+        maps[degree + 1] = mat_mul(a, c.map_into(degree + 1), c.zero)
+    return ChainComplex(c.ring, dict(c.ranks), maps)
 
 
-def change_basis_cycle(cycle: DistinguishedCycle, degree: int, a, ainv, ring) -> DistinguishedCycle:
+def change_basis_cycle(cycle: DistinguishedCycle, degree: int, a, a_inv, ring) -> DistinguishedCycle:
     """Rewrite the distinguished vector in the new basis."""
     if cycle.degree != degree:
         return cycle
     row = (tuple(cycle.vector),)
+    zero = LaurentElement.zero(ring)
     if cycle.direction == UNKNOT_TO_K:
-        new = lmat_mul(row, ainv, ring)[0]
+        new = mat_mul(row, a_inv, zero)[0]
     else:
         # functional phi pulls back along the basis change: phi' = phi * a^T
-        new = lmat_mul(row, ltranspose(a), ring)[0]
+        new = mat_mul(row, transpose(a), zero)[0]
     return DistinguishedCycle(cycle.degree, tuple(new), cycle.genus, cycle.dplus,
                               cycle.direction)
 
 
 # -- homology over a valuation ring ----------------------------------------------------
-
-def rzeros(rows, cols, zero):
-    return [[zero for _ in range(cols)] for _ in range(rows)]
-
-
-def ridentity(n, one, zero):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def rmat_mul(a, b, zero):
-    if not a or not b:
-        return [[zero for _ in range(len(b[0]) if b else 0)] for _ in range(len(a))]
-    out = []
-    for row in a:
-        acc = [zero for _ in range(len(b[0]))]
-        for k, entry in enumerate(row):
-            if entry.is_zero():
-                continue
-            for j, other in enumerate(b[k]):
-                if not other.is_zero():
-                    acc[j] = acc[j] + entry * other
-        out.append(acc)
-    return out
-
 
 @dataclass
 class SmithForm:
@@ -441,10 +381,8 @@ def smith_diagonalize(matrix, weight, one, zero, ncols=None) -> SmithForm:
     a = [list(row) for row in matrix]
     m = len(a)
     n = len(a[0]) if a else (ncols or 0)
-    left = ridentity(m, one, zero)
-    left_inv = ridentity(m, one, zero)
-    right = ridentity(n, one, zero)
-    right_inv = ridentity(n, one, zero)
+    left, left_inv = [list(map(list, identity(m, one, zero))) for _ in range(2)]
+    right, right_inv = [list(map(list, identity(n, one, zero))) for _ in range(2)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -533,7 +471,7 @@ class HomologySummary:
 
     def kernel_coords(self, vec):
         """Coordinates of an ambient cycle vector in the kernel basis."""
-        full = rmat_mul([list(vec)], self._left_inv_out, self._zero_elt)[0]
+        full = mat_mul((tuple(vec),), self._left_inv_out, self._zero_elt)[0]
         for c in full[: self._rank_out]:
             if not c.is_zero():
                 raise NotACycle("vector is not a cycle after the base change")
@@ -542,7 +480,7 @@ class HomologySummary:
     def class_coords(self, vec):
         """(torsion coordinates, free coordinates) of the class of vec."""
         coords = self.kernel_coords(vec)
-        y = rmat_mul([coords], self._rprime, self._zero_elt)[0]
+        y = mat_mul((coords,), self._rprime, self._zero_elt)[0]
         return y[: self._rank_in], y[self._rank_in:]
 
     def class_is_zero(self, vec):
@@ -554,13 +492,10 @@ class HomologySummary:
                 return False
         return all(y.is_zero() for y in free)
 
-    def free_coords(self, vec):
-        return self.class_coords(vec)[1]
-
     def free_generator_lift(self, index=0):
         """Ambient coordinates of a lift of the index-th free generator."""
         coords = self._rprime_inv[self._rank_in + index]
-        return rmat_mul([list(coords)], self._kernel_basis, self._zero_elt)[0]
+        return mat_mul((coords,), self._kernel_basis, self._zero_elt)[0]
 
 
 def apply_boundaries(complex: ChainComplex, sigma) -> dict:
@@ -587,7 +522,7 @@ def homology_of_applied(complex: ChainComplex, applied: dict, weight) -> dict:
     def mat(k, rows, cols):
         m = applied.get(k)
         if m is None:
-            return rzeros(rows, cols, zero)
+            return zeros(rows, cols, zero)
         return m
 
     out = {}
@@ -603,7 +538,7 @@ def homology_of_applied(complex: ChainComplex, applied: dict, weight) -> dict:
         # condition guarantees the leading coordinates vanish.
         coords_rows = []
         for row in in_mat:
-            full = rmat_mul([row], smith_out.left_inv, zero)[0]
+            full = mat_mul((row,), smith_out.left_inv, zero)[0]
             for c in full[:rank_out]:
                 if not c.is_zero():
                     raise IntegrityError("boundary escapes the kernel; d^2 != 0 after sigma")
@@ -691,7 +626,7 @@ def complex_to_json(complex: ChainComplex, cycle=None, name=None, signature=None
     data["boundaries"] = {
         str(k): [[format_laurent_pretty(e) for e in row] for row in m]
         for k, m in sorted(complex.maps.items())
-        if not lmat_is_zero(m)
+        if not is_zero(m)
     }
     if cycle is not None:
         data["cycle"] = {

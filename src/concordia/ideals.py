@@ -268,8 +268,9 @@ def laurent_member(x: LaurentElement, gens, ring: Ring) -> bool:
     if not nonzero:
         return False
     if len(nonzero) == 1:
-        # principal case: membership is exact divisibility
-        return LaurentFraction(x, nonzero[0]).is_integral()
+        # principal case: membership is exact divisibility, decided by one
+        # exact division (no gcd)
+        return _exact_quotient(x, nonzero[0]) is not None
     basis = groebner_for(ring, nonzero)
     return poly_reduce(saturation_poly(x), basis).is_zero()
 
@@ -436,18 +437,6 @@ class ValuationIdeal:
         return f"<ord {self.order}>"
 
 
-def ideal_product(i, j):
-    """Pairwise-product ideal, in either context."""
-    return i.product(j)
-
-
-def ideal_ord(i: ValuationIdeal):
-    """The ord of a valuation-context ideal (minimum over generators)."""
-    if not isinstance(i, ValuationIdeal):
-        raise RingMismatch("ideal_ord needs a valuation-context ideal")
-    return i.order
-
-
 def module_quotient_rank1(relation, ring: Ring) -> FractionalIdeal:
     """Realize S^2 / <a1*e1 + a2*e2> as the fractional ideal <a2, a1>.
 
@@ -473,11 +462,6 @@ def quotient_embedding_image(relation, vector, ring: Ring) -> LaurentFraction:
     a1, a2 = (_as_fraction(a) for a in rel)
     v1, v2 = (_as_fraction(v) for v in vector)
     return v1 * a2 + v2 * a1
-
-
-def membership(x, ideal) -> bool:
-    """Fraction-field membership in a BN/FULL fractional ideal."""
-    return ideal.contains(x)
 
 
 def g_region(ideal: FractionalIdeal, g_max: int, d_max: int) -> set:

@@ -40,19 +40,19 @@ from .errors import (
     RingMismatch,
     UnsupportedPresentation,
     UsageError,
+    ValueGroupMismatch,
 )
 from .homalg import (
     ChainComplex,
     DistinguishedCycle,
-    K_TO_UNKNOT,
     UNKNOT_TO_K,
     apply_boundaries,
     complex_from_json,
     complex_to_json,
     homology_of_applied,
     homology_over_valuation,
+    is_zero,
     kunneth,
-    lmat_is_zero,
     tensor,
     tensor_generators,
     validate_cycle,
@@ -274,7 +274,7 @@ def _single_relation(model: KnotModel):
     """The in-map row at the cycle degree, for 1-relation presentations."""
     d = model.cycle.degree
     c = model.complex
-    if c.rank(d + 1) and not lmat_is_zero(c.map_into(d + 1)):
+    if c.rank(d + 1) and not is_zero(c.map_into(d + 1)):
         raise UnsupportedPresentation(
             "cycle degree has an outgoing differential; not a cokernel presentation"
         )
@@ -313,7 +313,7 @@ def znat_bn(model: KnotModel) -> FractionalIdeal:
     # K-to-unknot: phi applied to the kernel generator of the out-column
     d = model.cycle.degree
     c = model.complex
-    if c.rank(d - 1) and not lmat_is_zero(c.map_into(d)):
+    if c.rank(d - 1) and not is_zero(c.map_into(d)):
         raise UnsupportedPresentation(
             "functional models with incoming differentials need a valuation context"
         )
@@ -325,7 +325,7 @@ def znat_bn(model: KnotModel) -> FractionalIdeal:
             LaurentFraction(b, h).as_laurent(),
             LaurentFraction(a, h).as_laurent(),
         )
-    elif c.rank(d) == 1 and (c.rank(d + 1) == 0 or lmat_is_zero(out)):
+    elif c.rank(d) == 1 and (c.rank(d + 1) == 0 or is_zero(out)):
         gen = (LaurentElement.one(ring),)
     else:
         raise UnsupportedPresentation(
@@ -509,34 +509,27 @@ def f_profile(model: KnotModel, samples, depth: int = 6) -> ProfileReport:
 
 # -- bounds ------------------------------------------------------------------------
 
-def slice_genus_bound(model: KnotModel, sigma: BaseChange) -> Fraction:
+# Each bound takes f, the value f_sigma already computed.  Under a lex value
+# group f / pi has no value: Order.as_fraction raises ValueGroupMismatch.
+
+def slice_genus_bound(f: Order, sigma: BaseChange) -> Fraction:
     pi, _ = sigma.pi_lambda()
-    return f_sigma(model, sigma).as_fraction() / pi.as_fraction()
+    return f.as_fraction() / pi.as_fraction()
 
 
-def clasp_bound(model: KnotModel) -> Fraction:
-    return f_plus(model)
-
-
-def eta_bound(model: KnotModel, sigma: BaseChange) -> Fraction:
+def eta_bound(f: Order, sigma: BaseChange) -> Fraction:
     if not sigma.nonorientable_valid():
         raise NotNonorientableValid(
-            f"{sigma.describe()} does not send T0 to 1; eta bound unavailable"
+            f"{sigma.describe()} does not send T0 to 1; nonorientable bounds unavailable"
         )
-    pi, _ = sigma.pi_lambda()
-    return f_sigma(model, sigma).as_fraction() / pi.as_fraction()
+    return slice_genus_bound(f, sigma)
 
 
-def gordon_litherland_bound(model: KnotModel, sigma: BaseChange) -> Fraction:
-    if model.signature is None:
+def gordon_litherland_bound(f: Order, sigma: BaseChange, signature) -> Fraction:
+    base = eta_bound(f, sigma)
+    if signature is None:
         raise MissingSignature("the Gordon-Litherland row needs a declared signature")
-    if not sigma.nonorientable_valid():
-        raise NotNonorientableValid(
-            f"{sigma.describe()} does not send T0 to 1; b1 bound unavailable"
-        )
-    pi, _ = sigma.pi_lambda()
-    base = f_sigma(model, sigma).as_fraction() / pi.as_fraction()
-    return base + Fraction(model.signature, 2)
+    return base + Fraction(signature, 2)
 
 
 # -- unknotting --------------------------------------------------------------------
@@ -684,7 +677,7 @@ def as_forward(model: KnotModel) -> KnotModel:
     c = model.complex
     out = c.map_into(d + 1)
     if c.rank(d) != 2 or c.rank(d + 1) != 1 or (
-        c.rank(d - 1) and not lmat_is_zero(c.map_into(d))
+        c.rank(d - 1) and not is_zero(c.map_into(d))
     ):
         raise DirectionMismatch(
             "cannot convert this functional model to the unknot-to-K direction"
@@ -710,38 +703,15 @@ def as_forward(model: KnotModel) -> KnotModel:
     return KnotModel(model.name, c, cycle, model.signature)
 
 
-# -- injectivity --------------------------------------------------------------------
-
-def map_injectivity(matrix, ring: Ring) -> bool:
-    """Full row rank over the fraction field (rows are source generators)."""
-    rows = [[LaurentFraction(e) for e in row] for row in matrix]
-    if not rows:
-        return True
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            if not rows[i][col].is_zero():
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [x + f * y for x, y in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank == len(rows)
-
-
 # -- reports -----------------------------------------------------------------------
+
+# The report line for a bound that raised, by the error it raised.
+_NOT_AVAILABLE = {
+    NotNonorientableValid: "n/a (base change is not nonorientable-valid)",
+    ValueGroupMismatch: "n/a under a lex value group",
+    MissingSignature: "n/a (no declared signature)",
+}
+
 
 def invariant_report(model: KnotModel, sigma: BaseChange) -> str:
     """Deterministic plain-text report of the full pipeline for one model."""
@@ -779,31 +749,23 @@ def invariant_report(model: KnotModel, sigma: BaseChange) -> str:
         fp = None
         lines.append(f"f_plus: unavailable ({exc})")
     lines.append("bounds:")
-    if len(pi.vec) == 1:
-        sg = z.order.as_fraction() / pi.as_fraction()
-        lines.append(f"  slice genus >= {sg}")
-        lines.append(
-            f"  surface constraint: g*{pi} + dplus*{lam} >= {z.order}"
-        )
-    else:
-        lines.append("  slice genus: n/a under a lex value group")
+    f = z.order
+    try:
+        lines.append(f"  slice genus >= {slice_genus_bound(f, sigma)}")
+        lines.append(f"  surface constraint: g*{pi} + dplus*{lam} >= {f}")
+    except ValueGroupMismatch:
+        lines.append(f"  slice genus: {_NOT_AVAILABLE[ValueGroupMismatch]}")
     if fp is None:
         lines.append("  clasp number: n/a for this model")
     else:
         lines.append(f"  clasp number c_plus >= {fp}")
-    if not sigma.nonorientable_valid():
-        lines.append("  eta: n/a (base change is not nonorientable-valid)")
-        lines.append("  b1 (Gordon-Litherland): n/a (base change is not nonorientable-valid)")
-    elif len(pi.vec) != 1:
-        lines.append("  eta: n/a under a lex value group")
-        lines.append("  b1 (Gordon-Litherland): n/a under a lex value group")
-    else:
-        base = z.order.as_fraction() / pi.as_fraction()
-        lines.append(f"  eta >= {base}")
-        if model.signature is None:
-            lines.append("  b1 (Gordon-Litherland): n/a (no declared signature)")
-        else:
-            lines.append(
-                f"  b1 (Gordon-Litherland) >= {base + Fraction(model.signature, 2)}"
-            )
+    for label, bound in (
+        ("eta", lambda: eta_bound(f, sigma)),
+        ("b1 (Gordon-Litherland)",
+         lambda: gordon_litherland_bound(f, sigma, model.signature)),
+    ):
+        try:
+            lines.append(f"  {label} >= {bound()}")
+        except tuple(_NOT_AVAILABLE) as exc:
+            lines.append(f"  {label}: {_NOT_AVAILABLE[type(exc)]}")
     return "\n".join(lines) + "\n"

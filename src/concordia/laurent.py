@@ -12,9 +12,6 @@ Named constants:
     Q = sum_j (Tj^2 + Tj^-2)
     V = P + T0^2 + T0^-2          (full ring)
     L = P + T1^2 + T1^-2          (image of V in S_BN)
-
-V_xi = xi*P + T0^2 + T0^-2 twists V by a formal unit parameter xi; since xi
-is not a ring element it is modeled as a xi-graded coefficient dictionary.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import DivisionByZero, RingMismatch, UsageError
-from .field2 import Poly2, RationalFunction, gcd, parse_term_list, poly_div
+from .field2 import Poly2, gcd, parse_term_list, poly_div, term_product
 
 VARS_FULL = ("T0", "T1", "T2", "T3")
 VARS_BN = ("T1", "T2", "T3")
@@ -87,15 +84,7 @@ class LaurentElement:
 
     def __mul__(self, other):
         self._check(other)
-        acc = set()
-        for a in self.terms:
-            for b in other.terms:
-                t = (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-                if t in acc:
-                    acc.discard(t)
-                else:
-                    acc.add(t)
-        return LaurentElement(self.ring, acc)
+        return LaurentElement(self.ring, term_product(self.terms, other.terms))
 
     def __pow__(self, n):
         if n < 0:
@@ -178,44 +167,6 @@ def quotient_to_BN(x: LaurentElement) -> LaurentElement:
     return LaurentElement(Ring.BN, acc)
 
 
-class XiPolynomial:
-    """Polynomial in a formal unit parameter xi with Laurent coefficients."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = {d: c for d, c in coeffs.items() if not c.is_zero()}
-
-    def __mul__(self, other):
-        if self.ring is not other.ring:
-            raise RingMismatch("mixing rings in xi-polynomials")
-        out = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                out[d] = out[d] + c1 * c2 if d in out else c1 * c2
-        return XiPolynomial(self.ring, out)
-
-    def __pow__(self, n):
-        result = XiPolynomial(self.ring, {0: LaurentElement.one(self.ring)})
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def coefficient(self, d):
-        return self.coeffs.get(d, LaurentElement.zero(self.ring))
-
-
-def xi_twisted_V(ring=Ring.FULL) -> XiPolynomial:
-    """V_xi = xi*P + T0^2 + T0^-2 (T1 in the BN quotient)."""
-    if ring is Ring.FULL:
-        square_part = LaurentElement(Ring.FULL, ((2, 0, 0, 0), (-2, 0, 0, 0)))
-    else:
-        square_part = LaurentElement(Ring.BN, ((0, 2, 0, 0), (0, -2, 0, 0)))
-    return XiPolynomial(ring, {1: P(ring), 0: square_part})
-
-
 # -- clearing denominators -------------------------------------------------------
 
 def clear_denominators(x: LaurentElement):
@@ -246,13 +197,6 @@ def from_poly(p: Poly2, ring: Ring) -> LaurentElement:
     return LaurentElement(ring, ((0,) + t for t in p.terms))
 
 
-def to_rational(x: LaurentElement) -> RationalFunction:
-    """x as an exact fraction of polynomials over the T-variables."""
-    p, m = clear_denominators(x)
-    mono, _ = clear_denominators(m)
-    return RationalFunction(p, mono)
-
-
 class LaurentFraction:
     """Fraction-field element num/den of Laurent elements over one ring."""
 
@@ -266,10 +210,6 @@ class LaurentFraction:
             raise DivisionByZero("zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_laurent(cls, x):
-        return cls(x)
 
     @property
     def ring(self):

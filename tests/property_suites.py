@@ -14,9 +14,9 @@ from concordia.homalg import (
     ChainComplex,
     ChainMap,
     dualize,
-    lmat_is_zero,
-    lmat_mul,
+    is_zero,
     mapping_cone,
+    mat_mul,
     smith_diagonalize,
     tensor,
 )
@@ -128,7 +128,7 @@ def _random_two_step(rng, ring):
 
 def _square_is_zero(c):
     for k in c.degrees():
-        if not lmat_is_zero(lmat_mul(c.map_into(k), c.map_into(k + 1), c.ring)):
+        if not is_zero(mat_mul(c.map_into(k), c.map_into(k + 1), c.zero)):
             return False
     return True
 

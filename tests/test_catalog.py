@@ -14,9 +14,9 @@ from concordia.catalog import (
     verify_skein_consistency,
 )
 from concordia.errors import UnknownKnot
-from concordia.homalg import lmat_mul
+from concordia.homalg import mat_mul
 from concordia.invariants import f_sigma
-from concordia.laurent import L, P, Ring
+from concordia.laurent import L, LaurentElement, P, Ring
 from concordia.valuation import Order
 
 
@@ -82,8 +82,9 @@ def test_show_json_shapes():
 def test_skein_composites_reproduce_the_cobordism_values():
     data = get("hopf_skein_data").extra
     bn = Ring.BN
-    assert lmat_mul(data["X"], data["S_g"], bn) == ((P(bn),),)
-    assert lmat_mul(data["X"], data["S_delta"], bn) == ((L(),),)
+    zero = LaurentElement.zero(bn)
+    assert mat_mul(data["X"], data["S_g"], zero) == ((P(bn),),)
+    assert mat_mul(data["X"], data["S_delta"], zero) == ((L(),),)
 
 
 def test_assembled_trefoil_matches_the_stored_entry():

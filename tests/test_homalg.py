@@ -25,19 +25,15 @@ from concordia.homalg import (
     complex_to_json,
     dualize,
     homology_over_valuation,
-    ldet,
-    lidentity,
-    linverse,
-    lmat_is_zero,
-    lmat_mul,
-    ltranspose,
+    identity,
+    is_zero,
     mapping_cone,
-    rmat_mul,
+    mat_mul,
     shift,
-    shift_cycle,
     smith_diagonalize,
     tensor,
     tensor_generators,
+    transpose,
     validate_cycle,
 )
 from concordia.laurent import L, LaurentElement, P, Ring
@@ -86,11 +82,10 @@ def test_differential_squares_to_zero():
 
 def test_map_into_defaults_to_zero():
     c = trefoil_complex()
-    assert lmat_is_zero(c.map_into(2))
+    assert is_zero(c.map_into(2))
     assert c.map_into(2) == ((), ())  # two source rows, no target columns
     assert c.rank(7) == 0
     assert c.degrees() == [0, 1]
-    assert c.total_rank() == 3
 
 
 def test_complex_equality_ignores_stored_zero_blocks():
@@ -130,27 +125,9 @@ def test_cycle_direction_and_genus_validation():
 
 # -- matrix helpers -------------------------------------------------------------------
 
-def test_determinant_and_inverse():
-    m = ((ONE, P(BN)), (ZERO, ONE))
-    assert ldet(m, BN) == ONE
-    inv = linverse(m, BN)
-    assert lmat_mul(m, inv, BN) == lidentity(2, BN)
-    assert lmat_mul(inv, m, BN) == lidentity(2, BN)
-    # determinant L is not a monomial unit
-    with pytest.raises(NotInvertible):
-        linverse(((L(), ZERO), (ZERO, ONE)), BN)
-
-
-def test_monomial_determinants_are_invertible():
-    t = LaurentElement.monomial(BN, 0, 2, -1, 0)
-    m = ((t, ONE), (ZERO, t.inverse()))
-    assert ldet(m, BN) == ONE
-    assert lmat_mul(linverse(m, BN), m, BN) == lidentity(2, BN)
-
-
 def test_transpose_involution():
     m = ((L(), P(BN)), (ONE, ZERO))
-    assert ltranspose(ltranspose(m)) == m
+    assert transpose(transpose(m)) == m
 
 
 # -- chain maps and cones -------------------------------------------------------------
@@ -173,7 +150,7 @@ def test_chain_map_shape_check():
 
 def test_cone_of_identity_is_acyclic():
     c = trefoil_complex()
-    ident = ChainMap(c, c, {k: lidentity(c.rank(k), BN) for k in c.degrees()})
+    ident = ChainMap(c, c, {k: identity(c.rank(k), ONE, ZERO) for k in c.degrees()})
     cone = mapping_cone(ident)
     sigma = builtin("B", r=Fraction(1, 2))
     hom = homology_over_valuation(cone, sigma)
@@ -223,7 +200,7 @@ def test_dualize_transposes_and_negates():
     c = trefoil_complex()
     d = dualize(c)
     assert d.ranks == {0: 1, -1: 2}
-    assert d.map_into(0) == ltranspose(c.map_into(1))
+    assert d.map_into(0) == transpose(c.map_into(1))
     assert dualize(d) == c
 
 
@@ -232,9 +209,7 @@ def test_shift_moves_degrees_and_cycles():
     s = shift(c, 3)
     assert s.ranks == {3: 1, 4: 2}
     assert s.map_into(4) == c.map_into(1)
-    cyc = DistinguishedCycle(1, (ZERO, ONE), 1, 0, UNKNOT_TO_K)
-    assert shift_cycle(cyc, 3).degree == 4
-    validate_cycle(s, shift_cycle(cyc, 3))
+    validate_cycle(s, DistinguishedCycle(4, (ZERO, ONE), 1, 0, UNKNOT_TO_K))
 
 
 # -- basis change -----------------------------------------------------------------------
@@ -242,28 +217,36 @@ def test_shift_moves_degrees_and_cycles():
 def test_change_basis_round_trip():
     c = trefoil_complex()
     a = ((ONE, ONE), (ZERO, ONE))
-    moved, ainv = change_basis(c, 1, a)
-    assert moved.map_into(1) == lmat_mul(c.map_into(1), ainv, BN)
-    back, _ = change_basis(moved, 1, ainv)
-    assert back == c
+    ainv = a  # its own inverse in characteristic 2
+    moved = change_basis(c, 1, a, ainv)
+    assert moved.map_into(1) == mat_mul(c.map_into(1), ainv, ZERO)
+    assert change_basis(moved, 1, ainv, a) == c
+    # a monomial-unit basis change with its inverse
+    t = LaurentElement.monomial(BN, 0, 2, -1, 0)
+    unit = ((t, ONE), (ZERO, t.inverse()))
+    unit_inv = ((t.inverse(), ONE), (ZERO, t))
+    assert change_basis(change_basis(c, 1, unit, unit_inv), 1, unit_inv, unit) == c
+    # L is not a unit, so no matrix inverts diag(L, 1)
     with pytest.raises(NotInvertible):
-        change_basis(c, 1, ((L(), ZERO), (ZERO, ONE)))
+        change_basis(c, 1, ((L(), ZERO), (ZERO, ONE)), ((L(), ZERO), (ZERO, ONE)))
     with pytest.raises(NotInvertible):
-        change_basis(c, 1, ((ONE,),))
+        change_basis(c, 1, a, ((ONE, ZERO), (ZERO, ONE)))
+    with pytest.raises(NotInvertible):
+        change_basis(c, 1, ((ONE,),), ((ONE,),))
 
 
 def test_change_basis_cycle_both_directions():
     c = trefoil_complex()
-    a = ((ONE, ZERO), (ONE, ONE))
-    moved, ainv = change_basis(c, 1, a)
+    a = ainv = ((ONE, ZERO), (ONE, ONE))
+    moved = change_basis(c, 1, a, ainv)
     cyc = DistinguishedCycle(1, (ZERO, ONE), 1, 0, UNKNOT_TO_K)
     moved_cyc = change_basis_cycle(cyc, 1, a, ainv, BN)
     validate_cycle(moved, moved_cyc)
     # a cofunctional pulls back with the transpose instead
     left = left_trefoil_complex()
     phi = DistinguishedCycle(0, (ZERO, ONE), 1, 0, K_TO_UNKNOT)
-    moved_left, ainv0 = change_basis(left, 0, a)
-    moved_phi = change_basis_cycle(phi, 0, a, ainv0, BN)
+    moved_left = change_basis(left, 0, a, ainv)
+    moved_phi = change_basis_cycle(phi, 0, a, ainv, BN)
     validate_cycle(moved_left, moved_phi)
     # untouched degrees pass through
     assert change_basis_cycle(cyc, 0, ((ONE,),), ((ONE,),), BN) is cyc
@@ -285,18 +268,16 @@ def test_smith_transform_identities():
     ])
     f = smith_diagonalize(m, weight, one, zero)
     assert f.rank == 2
-    lm = rmat_mul(f.left, m, zero)
-    d = rmat_mul(lm, f.right, zero)
+    lm = mat_mul(f.left, m, zero)
+    d = mat_mul(lm, f.right, zero)
     for i, row in enumerate(d):
         for j, e in enumerate(row):
             if i == j and i < f.rank:
                 assert e == f.diagonal[i]
             else:
                 assert e.is_zero()
-    ident = [[one if i == j else zero for j in range(2)] for i in range(2)]
-    assert rmat_mul(f.left, f.left_inv, zero) == ident
-    ident3 = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    assert rmat_mul(f.right, f.right_inv, zero) == ident3
+    assert mat_mul(f.left, f.left_inv, zero) == identity(2, one, zero)
+    assert mat_mul(f.right, f.right_inv, zero) == identity(3, one, zero)
 
 
 def test_smith_pivots_ascend_in_ord():
@@ -363,7 +344,7 @@ def test_free_generator_lift_is_a_cycle_with_nonzero_class():
     hom = homology_over_valuation(trefoil_complex(), sigma)
     lift = hom[1].free_generator_lift(0)
     assert not hom[1].class_is_zero(lift)
-    assert hom[1].free_coords(lift) != [series_poly("0")]
+    assert not hom[1].class_coords(lift)[1][0].is_zero()
 
 
 # -- serialization ------------------------------------------------------------------------

@@ -21,10 +21,7 @@ from concordia.ideals import (
     degree_cap,
     g_region,
     groebner_for,
-    ideal_ord,
-    ideal_product,
     laurent_member,
-    membership,
     module_quotient_rank1,
     parse_generators,
     poly_reduce,
@@ -144,6 +141,19 @@ def test_membership_sees_through_units():
     assert laurent_member(t1.inverse() * P(BN), [P(BN)], BN)
 
 
+def test_principal_membership_divides_exactly_without_a_gcd(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("principal membership ran a gcd")
+
+    monkeypatch.setattr("concordia.laurent.gcd", no_gcd)
+    # a gcd of P^6 and L^3 over BN takes tens of seconds; one division does not
+    assert not laurent_member(P(BN) ** 6, [L() ** 3], BN)
+    assert laurent_member(L() ** 4 * P(BN), [L() ** 3], BN)
+    t1 = LaurentElement.monomial(BN, 0, 1, 0, 0)
+    assert laurent_member(t1.inverse() * P(BN), [t1 * P(BN)], BN)
+    assert laurent_member(P(BN) ** 2, [t1], BN)
+
+
 def test_membership_in_the_v_cubed_ideal():
     gens = [P(FULL), V() ** 3]
     assert laurent_member(P(FULL), gens, FULL)
@@ -198,7 +208,7 @@ def test_unit_ideal_contains_ring_elements():
 def test_product_and_scale():
     a = FractionalIdeal.from_gens(BN, [L()])
     b = FractionalIdeal.from_gens(BN, [P(BN)])
-    assert ideal_product(a, b) == FractionalIdeal.from_gens(BN, [L() * P(BN)])
+    assert a.product(b) == FractionalIdeal.from_gens(BN, [L() * P(BN)])
     assert a.scale(LaurentFraction(P(BN), L())) == b
     with pytest.raises(RingMismatch):
         a.product(FractionalIdeal.unit(FULL))
@@ -209,7 +219,6 @@ def test_fractional_generators():
     assert ideal.contains(LaurentFraction(P(BN) ** 2, L()))
     assert ideal.contains(P(BN) ** 2)  # L * generator
     assert not ideal.contains(P(BN))
-    assert membership(P(BN) ** 2, ideal)
 
 
 def test_contains_checks_rings():
@@ -228,7 +237,7 @@ def test_valuation_ideal_picks_minimal_ord():
     sigma = builtin("B", r=Fraction(1, 2))
     gens = [sigma.apply(L()), sigma.apply(P(BN))]
     ideal = ValuationIdeal.from_gens(gens, sigma.weight)
-    assert ideal_ord(ideal) == sigma.ord_of(L())
+    assert ideal.order == sigma.ord_of(L())
     assert ideal.contains(sigma.apply(P(BN)), sigma.weight)
     assert not ideal.contains(series_poly("1"), sigma.weight)
     assert ideal.contains(series_poly("0"), sigma.weight)
@@ -238,7 +247,7 @@ def test_valuation_ideal_product_adds_orders():
     sigma = builtin("B", r=Fraction(1, 2))
     a = ValuationIdeal.from_gens([sigma.apply(L())], sigma.weight)
     sq = a.product(a)
-    assert ideal_ord(sq) == ideal_ord(a) + ideal_ord(a)
+    assert sq.order == a.order + a.order
     assert a == ValuationIdeal.from_gens([sigma.apply(L()), sigma.apply(P(BN))],
                                          sigma.weight)
 
@@ -247,8 +256,6 @@ def test_valuation_ideal_needs_a_nonzero_generator():
     sigma = builtin("B", r=Fraction(1, 2))
     with pytest.raises(ZeroElement):
         ValuationIdeal.from_gens([series_poly("0")], sigma.weight)
-    with pytest.raises(RingMismatch):
-        ideal_ord(FractionalIdeal.unit(BN))
 
 
 # -- rank-1 quotients ------------------------------------------------------------------------

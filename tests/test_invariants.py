@@ -17,6 +17,7 @@ from concordia.errors import (
     RingMismatch,
     UnsupportedPresentation,
     UsageError,
+    ValueGroupMismatch,
 )
 from concordia.homalg import (
     ChainComplex,
@@ -29,7 +30,6 @@ from concordia.invariants import (
     KnotModel,
     adjusted_genus,
     as_forward,
-    clasp_bound,
     connected_sum,
     describe_bn_ideal,
     eta,
@@ -40,7 +40,6 @@ from concordia.invariants import (
     gordon_litherland_bound,
     invariant_report,
     lex_ceiling,
-    map_injectivity,
     slice_genus_bound,
     unknotting_bound,
     znat_bn,
@@ -239,28 +238,34 @@ def test_profile_single_sample_and_csv():
 # -- bounds -------------------------------------------------------------------------------
 
 def test_slice_and_clasp_bounds():
-    assert slice_genus_bound(trefoil(), B_HALF) == Fraction(1, 2)
-    assert slice_genus_bound(trefoil(), builtin("B", r=Fraction(1))) == 1
-    assert clasp_bound(trefoil()) == 1
-    assert clasp_bound(example_e()) == 3
+    b_one = builtin("B", r=Fraction(1))
+    assert slice_genus_bound(f_sigma(trefoil(), B_HALF), B_HALF) == Fraction(1, 2)
+    assert slice_genus_bound(f_sigma(trefoil(), b_one), b_one) == 1
+    with pytest.raises(ValueGroupMismatch):
+        slice_genus_bound(f_sigma(trefoil(), builtin("C")), builtin("C"))
+    assert f_plus(trefoil()) == 1
+    assert f_plus(example_e()) == 3
 
 
 def test_eta_bound_needs_nonorientable_validity():
     d = builtin("D")
-    assert eta_bound(trefoil(), d) == 1
-    assert eta_bound(left_trefoil(), d) == -1
+    assert eta_bound(f_sigma(trefoil(), d), d) == 1
+    assert eta_bound(f_sigma(left_trefoil(), d), d) == -1
     with pytest.raises(NotNonorientableValid):
-        eta_bound(trefoil(), B_HALF)
+        eta_bound(f_sigma(trefoil(), B_HALF), B_HALF)
 
 
 def test_gordon_litherland_bound():
     d = builtin("D")
-    assert gordon_litherland_bound(trefoil(), d) == 0
-    assert gordon_litherland_bound(left_trefoil(), d) == 0
+    f_trefoil = f_sigma(trefoil(), d)
+    assert gordon_litherland_bound(f_trefoil, d, trefoil().signature) == 0
+    assert gordon_litherland_bound(f_sigma(left_trefoil(), d), d,
+                                   left_trefoil().signature) == 0
     with pytest.raises(MissingSignature):
-        gordon_litherland_bound(example_e(), d)
+        gordon_litherland_bound(f_sigma(example_e(), d), d, example_e().signature)
+    # nonorientable validity is checked before the signature
     with pytest.raises(NotNonorientableValid):
-        gordon_litherland_bound(trefoil(), B_HALF)
+        gordon_litherland_bound(f_sigma(trefoil(), B_HALF), B_HALF, None)
 
 
 # -- unknotting --------------------------------------------------------------------------
@@ -363,16 +368,6 @@ def test_as_forward_needs_a_single_out_column():
                       DistinguishedCycle(0, (ONE,), 0, 0, K_TO_UNKNOT))
     with pytest.raises(DirectionMismatch):
         as_forward(model)
-
-
-# -- injectivity ---------------------------------------------------------------------------
-
-def test_map_injectivity():
-    assert map_injectivity(((L(), P(BN)),), BN)
-    assert map_injectivity(((ONE, ZERO), (ZERO, ONE)), BN)
-    assert not map_injectivity(((L(), P(BN)), (L(), P(BN))), BN)
-    assert not map_injectivity(((L(),), (P(BN),)), BN)
-    assert map_injectivity((), BN)
 
 
 # -- serialization and reports ----------------------------------------------------------------

@@ -14,7 +14,6 @@ from concordia.laurent import (
     Q,
     Ring,
     V,
-    VARS_BN,
     VARS_FULL,
     clear_denominators,
     format_laurent,
@@ -24,8 +23,6 @@ from concordia.laurent import (
     parse_laurent,
     parse_laurent_fraction,
     quotient_to_BN,
-    to_rational,
-    xi_twisted_V,
 )
 
 FULL, BN = Ring.FULL, Ring.BN
@@ -100,15 +97,6 @@ def test_quotient_is_a_ring_map():
         assert quotient_to_BN(a * b) == quotient_to_BN(a) * quotient_to_BN(b)
 
 
-def test_xi_twist_recovers_v_at_coefficient_level():
-    vxi = xi_twisted_V(FULL)
-    assert vxi.coefficient(1) == P(FULL)
-    assert vxi.coefficient(0) + vxi.coefficient(1) == V()
-    sq = vxi ** 2
-    assert sq.coefficient(2) == P(FULL) ** 2
-    assert sq.coefficient(1).is_zero()  # cross terms cancel in char 2
-
-
 # -- clearing denominators ------------------------------------------------------------
 
 
@@ -136,11 +124,6 @@ def test_clear_denominators_round_trip():
             for pos, slot in enumerate(slots):
                 if mt[slot] > 0:
                     assert any(t[pos] == 0 for t in poly.terms)
-
-
-def test_to_rational():
-    r = to_rational(P(FULL))
-    assert r.den == Poly2(VARS_FULL, ((0, 1, 1, 1),))
 
 
 # -- fractions ------------------------------------------------------------------------
