@@ -82,7 +82,10 @@ def _parse_samples(spec: str):
         span, _, count = spec.partition(":")
         lo_text, _, hi_text = span.partition("..")
         lo, hi = parse_fraction_text(lo_text), parse_fraction_text(hi_text)
-        n = int(count) if count else 8
+        try:
+            n = int(count) if count else 8
+        except ValueError:
+            n = 0
         if n < 1 or hi <= lo:
             raise UsageError(f"bad sample range {spec!r}; want lo..hi[:steps]")
         step = (hi - lo) / n

@@ -23,10 +23,12 @@ valuation ring because every multiplier has nonnegative ord.
 The computation has two parts.  apply_boundaries applies sigma once to each
 boundary entry; it depends only on sigma's images of T0..T3, so callers that
 vary only the weight (a profile over B(r)) apply sigma once per set of
-images.  homology_of_applied then runs two Smith passes per degree, on the
-outgoing map and on the incoming generators in the kernel basis.  Its rank
-audit checks the second against the rank of the map into the degree, read
-from the previous degree's outgoing Smith form rather than from a third pass.
+images.  homology_of_applied then runs one Smith form per stored
+differential.  Over a valuation ring the kernel of the outgoing map is a
+direct summand, so a degree's homology is read from the Smith forms of its
+two maps alone: the torsion is the incoming map's nonunit diagonal, the free
+rank is n - rank_in - rank_out, and the kernel is never rewritten in a basis
+of its own.
 """
 
 from __future__ import annotations
@@ -359,14 +361,23 @@ def change_basis_cycle(cycle: DistinguishedCycle, degree: int, a, a_inv, ring) -
 
 @dataclass
 class SmithForm:
-    """L * M * R = D diagonal; L, R invertible over the valuation ring."""
+    """L * M * R = D diagonal; L, R invertible over the valuation ring.
+
+    The rows of L past rank span ker M; in the coordinates v * R the image
+    of M is spanned by diagonal[i] * e_i for i < rank.
+    """
 
     diagonal: list        # the rank many nonzero diagonal entries
     rank: int
     left: list            # L
-    left_inv: list        # L^-1
     right: list           # R
-    right_inv: list       # R^-1
+
+
+def _add_multiple(dst, src, f, indices):
+    """dst[c] += f * src[c] for c in indices (no signs in characteristic 2)."""
+    for c in indices:
+        if not src[c].is_zero():
+            dst[c] = dst[c] + f * src[c]
 
 
 def smith_diagonalize(matrix, weight, one, zero, ncols=None) -> SmithForm:
@@ -377,54 +388,18 @@ def smith_diagonalize(matrix, weight, one, zero, ncols=None) -> SmithForm:
     row-major order), so every elimination multiplier has ord >= 0 and the
     accumulated transforms are invertible over the valuation ring.  A
     matrix with no rows carries no width of its own; ncols supplies it.
+    Only the remaining block of the working copy is kept up to date: row
+    operations touch the columns right of the pivot, and column operations,
+    which only clear the pivot row, touch R alone.
     """
     a = [list(row) for row in matrix]
     m = len(a)
     n = len(a[0]) if a else (ncols or 0)
-    left, left_inv = [list(map(list, identity(m, one, zero))) for _ in range(2)]
-    right, right_inv = [list(map(list, identity(n, one, zero))) for _ in range(2)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-        for r in range(m):
-            left_inv[r][i], left_inv[r][j] = left_inv[r][j], left_inv[r][i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            right[r][i], right[r][j] = right[r][j], right[r][i]
-        right_inv[i], right_inv[j] = right_inv[j], right_inv[i]
-
-    def row_add(dst, src, f):
-        # row_dst += f * row_src; inverse transform is the same op (char 2).
-        for c in range(n):
-            if not a[src][c].is_zero():
-                a[dst][c] = a[dst][c] + f * a[src][c]
-        for c in range(m):
-            if not left[src][c].is_zero():
-                left[dst][c] = left[dst][c] + f * left[src][c]
-        for r in range(m):
-            if not left_inv[r][dst].is_zero():
-                left_inv[r][src] = left_inv[r][src] + f * left_inv[r][dst]
-
-    def col_add(dst, src, f):
-        for r in range(m):
-            if not a[r][src].is_zero():
-                a[r][dst] = a[r][dst] + f * a[r][src]
-        for r in range(n):
-            if not right[r][src].is_zero():
-                right[r][dst] = right[r][dst] + f * right[r][src]
-        for c in range(n):
-            if not right_inv[dst][c].is_zero():
-                right_inv[src][c] = right_inv[src][c] + f * right_inv[dst][c]
-
-    rank = 0
+    left = [list(row) for row in identity(m, one, zero)]
+    right_t = [list(row) for row in identity(n, one, zero)]   # R transposed
     diagonal = []
     for s in range(min(m, n)):
-        best = None
-        best_ord = None
+        best = best_ord = None
         for i in range(s, m):
             for j in range(s, n):
                 if a[i][j].is_zero():
@@ -435,53 +410,61 @@ def smith_diagonalize(matrix, weight, one, zero, ncols=None) -> SmithForm:
         if best is None:
             break
         i, j = best
-        if i != s:
-            row_swap(s, i)
-        if j != s:
-            col_swap(s, j)
+        a[s], a[i] = a[i], a[s]
+        left[s], left[i] = left[i], left[s]
+        right_t[s], right_t[j] = right_t[j], right_t[s]
+        for row in a:
+            row[s], row[j] = row[j], row[s]
         pivot = a[s][s]
-        for r in range(s + 1, m):
+        for r in range(s + 1, m):       # row_r += f * row_s clears the pivot column
             if not a[r][s].is_zero():
-                row_add(r, s, a[r][s] / pivot)
-        for c in range(s + 1, n):
+                f = a[r][s] / pivot
+                _add_multiple(a[r], a[s], f, range(s + 1, n))
+                _add_multiple(left[r], left[s], f, range(m))
+        for c in range(s + 1, n):       # col_c += f * col_s clears the pivot row
             if not a[s][c].is_zero():
-                col_add(c, s, a[s][c] / pivot)
+                _add_multiple(right_t[c], right_t[s], a[s][c] / pivot, range(n))
         diagonal.append(pivot)
-        rank += 1
-    return SmithForm(diagonal, rank, left, left_inv, right, right_inv)
+    return SmithForm(diagonal, len(diagonal), left, transpose(right_t))
 
 
 @dataclass
 class HomologySummary:
-    """Homology of one degree after a base change, with class-reduction data."""
+    """Homology of one degree after a base change, with class-reduction data.
+
+    Over a valuation ring the cycles Z = ker(M_out) form a direct summand
+    of the degree's module, and so contain the saturation of the boundaries.
+    In the coordinates y = v * R_in of the incoming map's Smith form the
+    boundaries are the y with y_i in (d_i) for i < rank_in and y_i = 0
+    beyond: the first rank_in coordinates are the torsion coordinates, and
+    the rest project v onto R^(n - rank_in), where the image of Z is a pure
+    submodule of rank free_rank.  At free rank 1 that image is spanned by a
+    vector with a unit coordinate, so a cycle's coordinate of least ord there
+    is its free coefficient up to a unit.
+    """
 
     degree: int
     ambient_rank: int
     free_rank: int
     torsion_ords: tuple      # descending Orders
     _weight: object
-    _rank_out: int
-    _left_inv_out: list      # transform whose trailing rows span ker(outgoing)
-    _kernel_basis: list      # those rows, as ambient coordinate vectors
-    _rank_in: int
-    _divisors: list          # nonzero diagonal of the incoming presentation
-    _rprime: list
-    _rprime_inv: list
+    _divisors: list          # nonzero diagonal of the incoming map's Smith form
+    _right_in: list          # its R
+    _outgoing: object        # the outgoing map, None when none is stored
+    _kernel: list            # rows spanning ker(outgoing) over the valuation ring
     _zero_elt: object
-
-    def kernel_coords(self, vec):
-        """Coordinates of an ambient cycle vector in the kernel basis."""
-        full = mat_mul((tuple(vec),), self._left_inv_out, self._zero_elt)[0]
-        for c in full[: self._rank_out]:
-            if not c.is_zero():
-                raise NotACycle("vector is not a cycle after the base change")
-        return full[self._rank_out:]
 
     def class_coords(self, vec):
         """(torsion coordinates, free coordinates) of the class of vec."""
-        coords = self.kernel_coords(vec)
-        y = mat_mul((coords,), self._rprime, self._zero_elt)[0]
-        return y[: self._rank_in], y[self._rank_in:]
+        if self._outgoing is not None and not is_zero(
+                mat_mul((tuple(vec),), self._outgoing, self._zero_elt)):
+            raise NotACycle("vector is not a cycle after the base change")
+        return self._split(vec)
+
+    def _split(self, vec):
+        y = mat_mul((tuple(vec),), self._right_in, self._zero_elt)[0]
+        rank_in = len(self._divisors)
+        return y[:rank_in], y[rank_in:]
 
     def class_is_zero(self, vec):
         tors, free = self.class_coords(vec)
@@ -492,10 +475,32 @@ class HomologySummary:
                 return False
         return all(y.is_zero() for y in free)
 
-    def free_generator_lift(self, index=0):
-        """Ambient coordinates of a lift of the index-th free generator."""
-        coords = self._rprime_inv[self._rank_in + index]
-        return mat_mul((coords,), self._kernel_basis, self._zero_elt)[0]
+    def _least_ord(self, coords):
+        """(entry, ord) of the nonzero entry of least ord, the first on ties."""
+        best = best_ord = None
+        for c in coords:
+            if not c.is_zero():
+                o = self._weight.ord_rf(c)
+                if best_ord is None or o < best_ord:
+                    best, best_ord = c, o
+        return best, best_ord
+
+    def free_coefficient(self, vec):
+        """At free rank 1, vec's free coefficient up to a unit; None for torsion."""
+        return self._least_ord(self.class_coords(vec)[1])[0]
+
+    def free_generator_lift(self):
+        """At free rank 1, a cycle whose class generates the free part.
+
+        The kernel rows span Z, so one of them projects to a unit multiple of
+        the generator of Z's image: the row whose projection has least ord.
+        """
+        best = best_ord = None
+        for row in self._kernel:
+            _, o = self._least_ord(self._split(row)[1])
+            if o is not None and (best_ord is None or o < best_ord):
+                best, best_ord = row, o
+        return best
 
 
 def apply_boundaries(complex: ChainComplex, sigma) -> dict:
@@ -511,60 +516,44 @@ def apply_boundaries(complex: ChainComplex, sigma) -> dict:
 def homology_of_applied(complex: ChainComplex, applied: dict, weight) -> dict:
     """Per-degree homology of apply_boundaries' output under the given weight.
 
-    applied is only read, so one applied complex serves many weights.
+    applied is only read, so one applied complex serves many weights.  One
+    Smith form per stored differential serves both degrees it joins: the
+    torsion of H_d is read off the incoming map's nonunit diagonal, and the
+    free rank is n - rank_in - rank_out.
     """
     from .field2 import RationalFunction
     from .basechange import SERIES_VARS
 
     one = RationalFunction.one(SERIES_VARS)
     zero = RationalFunction.zero(SERIES_VARS)
+    forms = {k: smith_diagonalize(applied[k], weight, one, zero, ncols=complex.rank(k))
+             for k in sorted(applied)}
 
-    def mat(k, rows, cols):
-        m = applied.get(k)
-        if m is None:
-            return zeros(rows, cols, zero)
-        return m
+    def form(k):
+        # an absent map is zero, and so is its own Smith form
+        return forms.get(k) or SmithForm([], 0, identity(complex.rank(k - 1), one, zero),
+                                         identity(complex.rank(k), one, zero))
 
     out = {}
-    rank_into = 0
     for d in complex.degrees():
         n = complex.rank(d)
-        out_mat = mat(d + 1, n, complex.rank(d + 1))
-        in_mat = mat(d, complex.rank(d - 1), n)
-        smith_out = smith_diagonalize(out_mat, weight, one, zero)
-        rank_out = smith_out.rank
-        kernel_basis = [smith_out.left[i] for i in range(rank_out, n)]
-        # incoming generators, rewritten in the kernel basis: the chain
-        # condition guarantees the leading coordinates vanish.
-        coords_rows = []
-        for row in in_mat:
-            full = mat_mul((row,), smith_out.left_inv, zero)[0]
-            for c in full[:rank_out]:
-                if not c.is_zero():
-                    raise IntegrityError("boundary escapes the kernel; d^2 != 0 after sigma")
-            coords_rows.append(full[rank_out:])
-        k = n - rank_out
-        smith_in = smith_diagonalize(coords_rows, weight, one, zero, ncols=k)
-        # Audit: the presentation rank must agree with the rank of the raw
-        # map into d, which the previous degree's outgoing pass measured.
-        if smith_in.rank != rank_into:
+        into, outof = form(d), form(d + 1)
+        if into.rank + outof.rank > n:
             raise IntegrityError("rank bookkeeping mismatch between presentations")
-        rank_into = rank_out
-        ords = (weight.ord_rf(x) for x in smith_in.diagonal)
-        torsion = sorted((o for o in ords if not o.is_zero()), reverse=True)
+        if d in forms and d + 1 in forms and not is_zero(
+                mat_mul(applied[d], applied[d + 1], zero)):
+            raise IntegrityError("boundary escapes the kernel; d^2 != 0 after sigma")
+        ords = (weight.ord_rf(x) for x in into.diagonal)
         out[d] = HomologySummary(
             degree=d,
             ambient_rank=n,
-            free_rank=k - smith_in.rank,
-            torsion_ords=tuple(torsion),
+            free_rank=n - into.rank - outof.rank,
+            torsion_ords=tuple(sorted((o for o in ords if not o.is_zero()), reverse=True)),
             _weight=weight,
-            _rank_out=rank_out,
-            _left_inv_out=smith_out.left_inv,
-            _kernel_basis=kernel_basis,
-            _rank_in=smith_in.rank,
-            _divisors=smith_in.diagonal,
-            _rprime=smith_in.right,
-            _rprime_inv=smith_in.right_inv,
+            _divisors=into.diagonal,
+            _right_in=into.right,
+            _outgoing=applied.get(d + 1),
+            _kernel=outof.left[outof.rank:],
             _zero_elt=zero,
         )
         if out[d].free_rank + len(out[d].torsion_ords) > n:
@@ -576,8 +565,8 @@ def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
     """Per-degree free rank, descending torsion ords, and reduction transforms.
 
     The composition of apply_boundaries and homology_of_applied: sigma is
-    applied to each boundary entry once, then two Smith passes run per
-    degree, the rank audit reading the previous degree's outgoing Smith form.
+    applied to each boundary entry once, then one Smith form runs per
+    stored differential.
     """
     return homology_of_applied(complex, apply_boundaries(complex, sigma), sigma.weight)
 
@@ -642,8 +631,14 @@ def complex_to_json(complex: ChainComplex, cycle=None, name=None, signature=None
 
 
 def complex_from_json(data: dict):
-    """Returns (name, ChainComplex, DistinguishedCycle-or-None, signature)."""
+    """Returns (name, ChainComplex, DistinguishedCycle-or-None, signature).
+
+    Input of the wrong shape (a missing key, a list where an object belongs,
+    a rank that is not a number) is a UsageError.
+    """
     try:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object, got {type(data).__name__}")
         ring = Ring(data["ring"])
         ranks = {int(d): int(r) for d, r in data["ranks"].items()}
         maps = {
@@ -652,21 +647,22 @@ def complex_from_json(data: dict):
             )
             for k, m in data.get("boundaries", {}).items()
         }
-    except (KeyError, ValueError) as exc:
+        fields = None
+        if "cycle" in data:
+            c = data["cycle"]
+            fields = (int(c["degree"]), tuple(parse_laurent(e, ring) for e in c["vector"]),
+                      int(c["genus"]), int(c["dplus"]), c["direction"])
+        signature = data.get("signature")
+        if signature is not None and not isinstance(signature, int):
+            raise TypeError(f"signature {signature!r} is not an integer")
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise UsageError(f"malformed complex JSON: {exc}") from exc
     complex = ChainComplex(ring, ranks, maps)
     cycle = None
-    if "cycle" in data:
-        c = data["cycle"]
-        cycle = DistinguishedCycle(
-            degree=int(c["degree"]),
-            vector=tuple(parse_laurent(e, ring) for e in c["vector"]),
-            genus=int(c["genus"]),
-            dplus=int(c["dplus"]),
-            direction=c["direction"],
-        )
+    if fields is not None:
+        cycle = DistinguishedCycle(*fields)
         validate_cycle(complex, cycle)
-    return data.get("name"), complex, cycle, data.get("signature")
+    return data.get("name"), complex, cycle, signature
 
 
 def dumps(data: dict) -> str:

@@ -1,10 +1,9 @@
 """Fractional ideals over the Laurent rings and valuation rings.
 
-Two settings share one interface.  Over a valuation ring every finitely
-generated fractional ideal is principal, so an ideal is canonicalized to a
-single generator of minimal ord and all questions reduce to ord comparisons.
-Over S_BN or R the ideal keeps its generator list and membership is decided
-exactly: clear denominators, adjoin inverse variables U_i with relations
+Over a valuation ring every finitely generated fractional ideal is
+principal, so an ideal is one generator and its ord, and ideals compare by
+ord.  Over S_BN or R the ideal keeps its generator list and membership is
+decided exactly: clear denominators, adjoin inverse variables U_i with relations
 T_i*U_i + 1 (characteristic 2) to saturate away T-monomials, compute a
 Groebner basis under graded reverse lexicographic order with the T-variables
 before the U-variables, and reduce.
@@ -37,7 +36,7 @@ from .errors import (
     UsageError,
     ZeroElement,
 )
-from .field2 import Poly2, divides, grevlex_key, poly_div
+from .field2 import Poly2, divides, grevlex_key
 from .laurent import (
     L,
     LaurentElement,
@@ -45,8 +44,7 @@ from .laurent import (
     P,
     Ring,
     V,
-    clear_denominators,
-    from_poly,
+    exact_quotient,
     laurent_gcd,
     parse_laurent_fraction,
 )
@@ -270,7 +268,7 @@ def laurent_member(x: LaurentElement, gens, ring: Ring) -> bool:
     if len(nonzero) == 1:
         # principal case: membership is exact divisibility, decided by one
         # exact division (no gcd)
-        return _exact_quotient(x, nonzero[0]) is not None
+        return exact_quotient(x, nonzero[0]) is not None
     basis = groebner_for(ring, nonzero)
     return poly_reduce(saturation_poly(x), basis).is_zero()
 
@@ -283,25 +281,6 @@ def _as_fraction(x) -> LaurentFraction:
     if isinstance(x, LaurentElement):
         return LaurentFraction(x)
     raise TypeError(f"expected a Laurent element or fraction, got {type(x).__name__}")
-
-
-def _exact_quotient(a: LaurentElement, b: LaurentElement):
-    """a / b when b divides a in the Laurent ring, else None.
-
-    Monomials are units, so b divides a iff b's polynomial part, divided by
-    the largest monomial that divides it, divides a's polynomial part: one
-    exact division and no gcd.
-    """
-    if b.is_unit():
-        return a * b.inverse()
-    pa, ma = clear_denominators(a)
-    pb, mb = clear_denominators(b)
-    low = tuple(min(col) for col in zip(*pb.terms))
-    q = poly_div(pa, Poly2(pb.vars, (tuple(map(operator.sub, t, low)) for t in pb.terms)))
-    if q is None:
-        return None
-    unit = ma * from_poly(Poly2(pb.vars, (low,)), a.ring)
-    return from_poly(q, a.ring) * mb * unit.inverse()
 
 
 @dataclass(frozen=True)
@@ -352,7 +331,7 @@ class FractionalIdeal:
         # x * D must be a Laurent element before the generators' basis can
         # decide, so x = a / b needs b to divide a * D.
         prod_all, cleared = self._cleared()
-        scaled = _exact_quotient(x.num * prod_all, x.den)
+        scaled = exact_quotient(x.num * prod_all, x.den)
         if scaled is None:
             return False
         return laurent_member(scaled, cleared, self.ring)
@@ -378,20 +357,6 @@ class FractionalIdeal:
         cleared = [(LaurentFraction(lcd) * g).as_laurent() for g in self.gens]
         return hash((self.ring, groebner_for(self.ring, cleared)))
 
-    def product(self, other) -> "FractionalIdeal":
-        if not isinstance(other, FractionalIdeal) or self.ring is not other.ring:
-            raise RingMismatch("ideal product across contexts")
-        return FractionalIdeal.from_gens(
-            self.ring, [a * b for a in self.gens for b in other.gens]
-        )
-
-    def scale(self, f) -> "FractionalIdeal":
-        f = _as_fraction(f)
-        return FractionalIdeal.from_gens(self.ring, [f * g for g in self.gens])
-
-    def describe(self) -> str:
-        return "<" + ", ".join(str(g) for g in self.gens) + ">"
-
 
 @dataclass(frozen=True)
 class ValuationIdeal:
@@ -400,31 +365,6 @@ class ValuationIdeal:
     generator: object     # RationalFunction over the series variables
     order: object         # its ord, an Order
 
-    @classmethod
-    def from_gens(cls, gens, weight):
-        best = None
-        best_ord = None
-        for g in gens:
-            if g.is_zero():
-                continue
-            o = weight.ord_rf(g)
-            if best_ord is None or o < best_ord:
-                best, best_ord = g, o
-        if best is None:
-            raise ZeroElement("a fractional ideal needs a nonzero generator")
-        return cls(best, best_ord)
-
-    def contains(self, x, weight) -> bool:
-        if x.is_zero():
-            return True
-        return weight.ord_rf(x) >= self.order
-
-    def product(self, other) -> "ValuationIdeal":
-        if not isinstance(other, ValuationIdeal):
-            raise RingMismatch("ideal product across contexts")
-        return ValuationIdeal(self.generator * other.generator,
-                              self.order + other.order)
-
     def __eq__(self, other):
         if not isinstance(other, ValuationIdeal):
             return NotImplemented
@@ -432,9 +372,6 @@ class ValuationIdeal:
 
     def __hash__(self):
         return hash(self.order)
-
-    def describe(self) -> str:
-        return f"<ord {self.order}>"
 
 
 def module_quotient_rank1(relation, ring: Ring) -> FractionalIdeal:

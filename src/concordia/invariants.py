@@ -71,6 +71,7 @@ from .laurent import (
     P,
     Ring,
     V,
+    exact_quotient,
     format_laurent_pretty,
     laurent_gcd,
 )
@@ -208,10 +209,10 @@ def _free_coefficients(model: KnotModel, sigma: BaseChange, summary, vector):
         classes = [(summary, vector)]
     coeffs = []
     for s, vec in classes:
-        _, free = s.class_coords(vec)
-        if not free or free[0].is_zero():
+        c = s.free_coefficient(vec)
+        if c is None:
             raise CycleInTorsion("distinguished class has no free part")
-        coeffs.append(free[0])
+        coeffs.append(c)
     return coeffs
 
 
@@ -690,15 +691,15 @@ def as_forward(model: KnotModel) -> KnotModel:
         raise DirectionMismatch("functional vanishes on the kernel generator")
     g, dplus = model.cycle.genus, model.cycle.dplus
     v_elt = V() if ring is Ring.FULL else L()
-    scale = LaurentFraction(P(ring) ** (2 * g) * v_elt ** (2 * dplus), phi_val)
+    scale = P(ring) ** (2 * g) * v_elt ** (2 * dplus)
     entries = []
     for t in tau:
-        e = (scale * LaurentFraction(t)).reduced()
-        if not e.is_integral():
+        e = exact_quotient(scale * t, phi_val)
+        if e is None:
             raise DirectionMismatch(
                 "conversion scale is not integral for this model"
             )
-        entries.append(e.as_laurent())
+        entries.append(e)
     cycle = DistinguishedCycle(d, tuple(entries), g, dplus, UNKNOT_TO_K)
     return KnotModel(model.name, c, cycle, model.signature)
 

@@ -16,6 +16,7 @@ Named constants:
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 
 from .errors import DivisionByZero, RingMismatch, UsageError
@@ -197,6 +198,26 @@ def from_poly(p: Poly2, ring: Ring) -> LaurentElement:
     return LaurentElement(ring, ((0,) + t for t in p.terms))
 
 
+def exact_quotient(a: LaurentElement, b: LaurentElement):
+    """a / b when b divides a in the Laurent ring, else None.
+
+    Monomials are units, so b divides a iff b's polynomial part, divided by
+    the largest monomial that divides it, divides a's polynomial part: one
+    exact division and no gcd.  This is the one divisibility test of the
+    package; integrality and principal membership both decide by it.
+    """
+    if b.is_unit():
+        return a * b.inverse()
+    pa, ma = clear_denominators(a)
+    pb, mb = clear_denominators(b)
+    low = tuple(min(col) for col in zip(*pb.terms))
+    q = poly_div(pa, Poly2(pb.vars, (tuple(map(operator.sub, t, low)) for t in pb.terms)))
+    if q is None:
+        return None
+    unit = ma * from_poly(Poly2(pb.vars, (low,)), a.ring)
+    return from_poly(q, a.ring) * mb * unit.inverse()
+
+
 class LaurentFraction:
     """Fraction-field element num/den of Laurent elements over one ring."""
 
@@ -271,13 +292,13 @@ class LaurentFraction:
         return LaurentFraction(num, den)
 
     def is_integral(self):
-        return self.reduced().den.is_unit()
+        return exact_quotient(self.num, self.den) is not None
 
     def as_laurent(self) -> LaurentElement:
-        r = self.reduced()
-        if not r.den.is_unit():
+        q = exact_quotient(self.num, self.den)
+        if q is None:
             raise DivisionByZero(f"{self} is not integral")
-        return r.num * r.den.inverse()
+        return q
 
     def __str__(self):
         if self.den.is_one():
@@ -337,9 +358,10 @@ def parse_laurent_fraction(text, ring) -> LaurentFraction:
 
 def parse_laurent(text, ring) -> LaurentElement:
     frac = parse_laurent_fraction(text, ring)
-    if not frac.is_integral():
+    q = exact_quotient(frac.num, frac.den)
+    if q is None:
         raise UsageError(f"{text!r} is not integral over {ring.value}")
-    return frac.as_laurent()
+    return q
 
 
 def format_laurent(x: LaurentElement) -> str:

@@ -3,7 +3,14 @@
 import io
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from concordia.cli import main
+from concordia.errors import ConcordiaError
+from concordia.homalg import K_TO_UNKNOT, UNKNOT_TO_K, complex_from_json
+from concordia.laurent import Ring, parse_laurent_fraction
 
 
 def run(capsys, *argv):
@@ -126,3 +133,124 @@ def test_bad_samples_exit_2(capsys):
     code, _, err = run(capsys, "profile", "--knot", "trefoil", "--samples", "")
     assert code == 2
     assert "UsageError" in err
+
+
+def test_sample_count_that_is_not_a_number_exits_2(capsys):
+    code, _, err = run(capsys, "profile", "--knot", "trefoil", "--samples", "1/8..1:x")
+    assert code == 2
+    assert "UsageError" in err and "1/8..1:x" in err
+
+
+_TREFOIL = {"ring": "BN", "ranks": {"0": 1, "1": 2}, "boundaries": {"1": [["L", "P"]]},
+            "cycle": {"degree": 1, "vector": ["0", "1"], "genus": 1, "dplus": 0,
+                      "direction": "unknot-to-K"}}
+
+
+def _without_vector():
+    doc = json.loads(json.dumps(_TREFOIL))
+    del doc["cycle"]["vector"]
+    return doc
+
+
+def _with_entry(entry):
+    doc = json.loads(json.dumps(_TREFOIL))
+    doc["boundaries"]["1"][0][1] = entry
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "trefoil",
+    _without_vector(),
+    dict(_TREFOIL, ranks=[1, 2]),
+    dict(_TREFOIL, boundaries={"1": 7}),
+    dict(_TREFOIL, signature="minus two"),
+    _with_entry(3),
+], ids=["list", "string", "cycle-without-vector", "ranks-as-list", "matrix-as-number",
+        "signature-as-string", "entry-as-number"])
+def test_malformed_model_json_exits_2(capsys, monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "invariants", "--stdin", "--example", "B", "--r", "1/2")
+    assert code == 2 and out == ""
+    assert err.startswith("UsageError: malformed complex JSON")
+
+
+def test_non_integral_entry_exits_2_without_a_gcd(capsys, monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("integrality ran a gcd")
+
+    monkeypatch.setattr("concordia.laurent.gcd", no_gcd)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_with_entry("P^6*L^-3"))))
+    code, _, err = run(capsys, "invariants", "--stdin", "--example", "B", "--r", "1/2")
+    assert code == 2
+    assert "UsageError: 'P^6*L^-3' is not integral over BN" in err
+
+
+# -- fuzzing the parsers: only ConcordiaErrors may escape ---------------------------
+
+_NAMES = ("P", "Q", "V", "L", "T0", "T1", "T2", "T3", "0", "1", "X", "p1")
+_factor = st.builds(
+    lambda name, exp: name if exp is None else f"{name}^{exp}",
+    st.sampled_from(_NAMES), st.none() | st.integers(-2, 2))
+_summand = st.lists(_factor, min_size=1, max_size=3).map("*".join)
+_expression = st.lists(_summand, min_size=1, max_size=2).map(" + ".join)
+
+
+@st.composite
+def _garbled(draw):
+    """An expression, sometimes with a stray character, never a digit, spliced in.
+
+    Exponents stay in [-2, 2], so every input parses in milliseconds.
+    """
+    text = draw(_expression)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(" ^*+-/(),x")) + text[i:]
+    return text
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_garbled(), st.sampled_from([Ring.BN, Ring.FULL]))
+def test_fuzz_parse_laurent_fraction_raises_only_domain_errors(text, ring):
+    try:
+        parse_laurent_fraction(text, ring)
+    except ConcordiaError:
+        pass
+
+
+_small = st.integers(-3, 3)
+_junk = (st.none() | st.booleans() | _small | st.floats(-3, 3)
+         | st.text(alphabet="ab_- ", max_size=3) | st.lists(_small, max_size=2)
+         | st.dictionaries(st.text(alphabet="ab", max_size=2), _small, max_size=2))
+
+
+def _or_junk(strategy):
+    return strategy | _junk
+
+
+_degree = _small.map(str) | st.text(alphabet="ab_- 1", max_size=3)   # JSON keys are strings
+_matrix = _or_junk(st.lists(_or_junk(st.lists(_or_junk(_garbled()), max_size=3)),
+                            max_size=3))
+_model = st.fixed_dictionaries({}, optional={
+    "ring": _or_junk(st.sampled_from(["BN", "FULL", "nope"])),
+    "ranks": _or_junk(st.dictionaries(_degree, _or_junk(st.integers(-1, 3)), max_size=3)),
+    "boundaries": _or_junk(st.dictionaries(_degree, _matrix, max_size=2)),
+    "cycle": _or_junk(st.fixed_dictionaries({}, optional={
+        "degree": _or_junk(_small),
+        "vector": _or_junk(st.lists(_or_junk(_garbled()), max_size=3)),
+        "genus": _or_junk(_small),
+        "dplus": _or_junk(_small),
+        "direction": _or_junk(st.sampled_from([UNKNOT_TO_K, K_TO_UNKNOT])),
+    })),
+    "signature": _or_junk(_small),
+    "name": _or_junk(st.text(max_size=3)),
+})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_or_junk(_model))
+def test_fuzz_complex_from_json_raises_only_domain_errors(data):
+    try:
+        complex_from_json(data)
+    except ConcordiaError:
+        pass

@@ -41,7 +41,7 @@ def _mixed_sum():
     lambda: catalog.get_model("exampleE"),
     _mixed_sum,
 ])
-def test_report_computes_homology_twice_with_two_smith_passes_per_degree(monkeypatch, make):
+def test_report_two_homologies_one_smith_form_per_differential(monkeypatch, make):
     # a connected sum computes the homology of each factor, never the tensor's
     model = make()
     parts = model.factors or (model,)
@@ -50,7 +50,7 @@ def test_report_computes_homology_twice_with_two_smith_passes_per_degree(monkeyp
     invariant_report(model, B_HALF)
     assert [args[1].name for args in homology] == ["B"] * len(parts) + ["C"] * len(parts)
     assert [args[0] for args in homology] == [p.complex for p in parts] * 2
-    assert len(smith) == 2 * 2 * sum(len(p.complex.degrees()) for p in parts)
+    assert len(smith) == 2 * sum(len(p.complex.maps) for p in parts)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "trefoil_left", "exampleE"])

@@ -1,6 +1,8 @@
 """Tests for chain complexes, cones, tensor products, and valuation homology."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +15,7 @@ from concordia.errors import (
     RingMismatch,
     UsageError,
 )
+from concordia.field2 import RationalFunction
 from concordia.homalg import (
     K_TO_UNKNOT,
     UNKNOT_TO_K,
@@ -38,6 +41,7 @@ from concordia.homalg import (
 )
 from concordia.laurent import L, LaurentElement, P, Ring
 from concordia.valuation import MonomialWeight, Order
+from property_suites import random_poly
 
 BN = Ring.BN
 ZERO = LaurentElement.zero(BN)
@@ -276,8 +280,9 @@ def test_smith_transform_identities():
                 assert e == f.diagonal[i]
             else:
                 assert e.is_zero()
-    assert mat_mul(f.left, f.left_inv, zero) == identity(2, one, zero)
-    assert mat_mul(f.right, f.right_inv, zero) == identity(3, one, zero)
+    # invertible over the valuation ring: unit determinants
+    assert weight.ord_rf(_det(f.left, one, zero)).is_zero()
+    assert weight.ord_rf(_det(f.right, one, zero)).is_zero()
 
 
 def test_smith_pivots_ascend_in_ord():
@@ -295,7 +300,63 @@ def test_smith_empty_matrix_takes_width_from_ncols():
     weight = MonomialWeight.rational({"x": Fraction(1, 4)})
     f = smith_diagonalize([], weight, one, zero, ncols=3)
     assert f.rank == 0
-    assert len(f.right) == 3 and len(f.right_inv) == 3
+    assert len(f.right) == 3 and f.left == []
+
+
+def _det(m, one, zero):
+    """Determinant by cofactor expansion along the first row (no signs in char 2)."""
+    if not m:
+        return one
+    acc = zero
+    for j, e in enumerate(m[0]):
+        if not e.is_zero():
+            acc = acc + e * _det([row[:j] + row[j + 1:] for row in m[1:]], one, zero)
+    return acc
+
+
+def _random_entry(rng, vars):
+    """A sparse rational function: a few terms over a monomial.
+
+    Small on purpose: elimination with richer denominators takes minutes.
+    """
+    if rng.random() < 0.3:
+        return RationalFunction.zero(vars)
+    num = random_poly(rng, vars, max_terms=3, max_exp=2, nonzero=True)
+    den = random_poly(rng, vars, max_terms=1, max_exp=1, nonzero=True)
+    return RationalFunction(num, den)
+
+
+@pytest.mark.parametrize("kind", ["rational", "lex"])
+def test_smith_diagonal_ords_are_quotients_of_determinantal_divisors(kind):
+    # Kaplansky: over a valuation ring the least ord of the k x k minors is
+    # the sum of the k least diagonal ords, so min-ord pivoting must give
+    # ord d_k = delta_k - delta_(k-1), and the rank is the largest k with a
+    # nonzero k x k minor.
+    vars = ("x", "u")
+    rng = random.Random(20260 if kind == "rational" else 20261)
+    one, zero = RationalFunction.one(vars), RationalFunction.zero(vars)
+    for _ in range(40):
+        if kind == "rational":
+            weight = MonomialWeight.rational(
+                {v: Fraction(rng.randint(1, 5), rng.randint(1, 4)) for v in vars})
+        else:
+            weight = MonomialWeight.lex(
+                {v: (Fraction(rng.randint(0, 2)), Fraction(rng.randint(1, 3))) for v in vars})
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[_random_entry(rng, vars) for _ in range(cols)] for _ in range(rows)]
+        f = smith_diagonalize(m, weight, one, zero)
+        delta = [weight.zero()]
+        for k in range(1, min(rows, cols) + 1):
+            ords = [weight.ord_rf(x) for x in (
+                _det([[m[i][j] for j in cs] for i in rs], one, zero)
+                for rs in combinations(range(rows), k)
+                for cs in combinations(range(cols), k)) if not x.is_zero()]
+            if not ords:
+                break
+            delta.append(min(ords))
+        assert f.rank == len(delta) - 1
+        for k, d in enumerate(f.diagonal, start=1):
+            assert weight.ord_rf(d) == delta[k] - delta[k - 1]
 
 
 # -- homology ----------------------------------------------------------------------------
@@ -314,7 +375,7 @@ def test_homology_with_no_incoming_differential():
     sigma = builtin("B", r=Fraction(1, 2))
     hom = homology_over_valuation(left_trefoil_complex(), sigma)
     assert hom[0].free_rank == 1
-    lift = hom[0].free_generator_lift(0)
+    lift = hom[0].free_generator_lift()
     assert len(lift) == 2 and any(not e.is_zero() for e in lift)
 
 
@@ -332,19 +393,43 @@ def test_class_reduction_identifies_boundaries():
     assert len(tors) == 1 and len(free) == 1
 
 
-def test_kernel_coords_rejects_non_cycles():
+def test_class_coords_rejects_non_cycles():
     sigma = builtin("B", r=Fraction(1, 2))
     hom = homology_over_valuation(trefoil_complex(), sigma)
     with pytest.raises(NotACycle):
-        hom[0].kernel_coords([sigma.apply(ONE)])
+        hom[0].class_coords([sigma.apply(ONE)])
+    with pytest.raises(NotACycle):
+        hom[0].free_coefficient([sigma.apply(ONE)])
 
 
 def test_free_generator_lift_is_a_cycle_with_nonzero_class():
     sigma = builtin("B", r=Fraction(1, 2))
     hom = homology_over_valuation(trefoil_complex(), sigma)
-    lift = hom[1].free_generator_lift(0)
+    lift = hom[1].free_generator_lift()
     assert not hom[1].class_is_zero(lift)
-    assert not hom[1].class_coords(lift)[1][0].is_zero()
+    # it generates the free part: its free coefficient is a unit
+    assert sigma.weight.ord_rf(hom[1].free_coefficient(lift)).is_zero()
+
+
+class _EntrywiseSigma:
+    """Sends each Laurent entry through a table: no ring homomorphism."""
+
+    def __init__(self, table):
+        self.table = table
+        self.weight = builtin("B", r=Fraction(1, 2)).weight
+
+    def apply(self, e):
+        return self.table[e]
+
+
+def test_a_base_change_that_breaks_d_squared_is_an_integrity_error():
+    # (L*P, L) then (1, P)^T squares to zero over BN, but not entry by entry
+    c = ChainComplex(BN, {0: 1, 1: 2, 2: 1}, {1: ((L() * P(BN), L()),),
+                                              2: ((ONE,), (P(BN),))})
+    sigma = _EntrywiseSigma({L() * P(BN): series_poly("x"), L(): series_poly("x"),
+                             ONE: series_poly("1"), P(BN): series_poly("u")})
+    with pytest.raises(IntegrityError, match="d\\^2 != 0 after sigma"):
+        homology_over_valuation(c, sigma)
 
 
 # -- serialization ------------------------------------------------------------------------

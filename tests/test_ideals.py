@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from fractions import Fraction
 
 from concordia.errors import (
     GroebnerDegreeCap,
@@ -16,7 +15,6 @@ from concordia.errors import (
 from concordia.field2 import Poly2
 from concordia.ideals import (
     FractionalIdeal,
-    ValuationIdeal,
     buchberger,
     degree_cap,
     g_region,
@@ -32,7 +30,6 @@ from concordia.ideals import (
     saturation_relations,
 )
 from concordia.laurent import L, LaurentElement, LaurentFraction, P, Ring, V
-from concordia.basechange import builtin, series_poly
 
 BN = Ring.BN
 FULL = Ring.FULL
@@ -205,15 +202,6 @@ def test_unit_ideal_contains_ring_elements():
     assert not unit.contains(LaurentFraction(P(BN), L()))
 
 
-def test_product_and_scale():
-    a = FractionalIdeal.from_gens(BN, [L()])
-    b = FractionalIdeal.from_gens(BN, [P(BN)])
-    assert a.product(b) == FractionalIdeal.from_gens(BN, [L() * P(BN)])
-    assert a.scale(LaurentFraction(P(BN), L())) == b
-    with pytest.raises(RingMismatch):
-        a.product(FractionalIdeal.unit(FULL))
-
-
 def test_fractional_generators():
     ideal = FractionalIdeal.from_gens(BN, [LaurentFraction(P(BN) ** 2, L())])
     assert ideal.contains(LaurentFraction(P(BN) ** 2, L()))
@@ -224,38 +212,6 @@ def test_fractional_generators():
 def test_contains_checks_rings():
     with pytest.raises(RingMismatch):
         FractionalIdeal.unit(BN).contains(P(FULL))
-
-
-def test_describe_lists_generators():
-    text = FractionalIdeal.from_gens(BN, [L(), P(BN)]).describe()
-    assert text.startswith("<") and text.endswith(">") and "," in text
-
-
-# -- valuation-ring ideals ---------------------------------------------------------------
-
-def test_valuation_ideal_picks_minimal_ord():
-    sigma = builtin("B", r=Fraction(1, 2))
-    gens = [sigma.apply(L()), sigma.apply(P(BN))]
-    ideal = ValuationIdeal.from_gens(gens, sigma.weight)
-    assert ideal.order == sigma.ord_of(L())
-    assert ideal.contains(sigma.apply(P(BN)), sigma.weight)
-    assert not ideal.contains(series_poly("1"), sigma.weight)
-    assert ideal.contains(series_poly("0"), sigma.weight)
-
-
-def test_valuation_ideal_product_adds_orders():
-    sigma = builtin("B", r=Fraction(1, 2))
-    a = ValuationIdeal.from_gens([sigma.apply(L())], sigma.weight)
-    sq = a.product(a)
-    assert sq.order == a.order + a.order
-    assert a == ValuationIdeal.from_gens([sigma.apply(L()), sigma.apply(P(BN))],
-                                         sigma.weight)
-
-
-def test_valuation_ideal_needs_a_nonzero_generator():
-    sigma = builtin("B", r=Fraction(1, 2))
-    with pytest.raises(ZeroElement):
-        ValuationIdeal.from_gens([series_poly("0")], sigma.weight)
 
 
 # -- rank-1 quotients ------------------------------------------------------------------------

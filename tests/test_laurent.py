@@ -16,6 +16,7 @@ from concordia.laurent import (
     V,
     VARS_FULL,
     clear_denominators,
+    exact_quotient,
     format_laurent,
     format_laurent_pretty,
     from_poly,
@@ -153,6 +154,26 @@ def test_fraction_not_integral():
         f.as_laurent()
     with pytest.raises(DivisionByZero):
         LaurentFraction(P(BN), LaurentElement.zero(BN))
+
+
+def test_integrality_decides_by_exact_division_without_a_gcd(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("integrality ran a gcd")
+
+    monkeypatch.setattr("concordia.laurent.gcd", no_gcd)
+    # a gcd of P^6 and L^3 over BN takes tens of seconds; one division does not
+    with pytest.raises(UsageError, match="not integral over BN"):
+        parse_laurent("P^6*L^-3", BN)
+    f = LaurentFraction(P(BN) ** 6, L() ** 3)
+    assert not f.is_integral()
+    with pytest.raises(DivisionByZero):
+        f.as_laurent()
+    t = LaurentElement.monomial(BN, 0, 1, -2, 0)
+    g = LaurentFraction(L() ** 4 * P(BN) * t, L() ** 3 * t * t)
+    assert g.is_integral()
+    assert g.as_laurent() == L() * P(BN) * t.inverse()
+    assert parse_laurent("P^2*L*P^-1*L^-1 + T1*T1^-1", BN) == P(BN) + LaurentElement.one(BN)
+    assert exact_quotient(L() ** 2, L() * P(BN)) is None
 
 
 def test_fraction_reduction_random():
