@@ -48,13 +48,21 @@ def _series_one() -> RationalFunction:
 
 @dataclass(eq=False)
 class BaseChange:
-    """Substitution data for the four marking variables plus a weight."""
+    """Substitution data for the four marking variables plus a weight.
+
+    sigma(P), sigma(V) and (pi, lambda) are computed once per instance and
+    kept; sigma(V) waits for its first use, so building one costs a single
+    application of sigma.
+    """
 
     name: str
     images: tuple  # sigma(T0), sigma(T1), sigma(T2), sigma(T3)
     weight: MonomialWeight
     params: dict = field(default_factory=dict)
     degenerate: bool = False
+    _sigma_p: RationalFunction = field(default=None, init=False, repr=False)
+    _sigma_v: RationalFunction = field(default=None, init=False, repr=False)
+    _pi_lambda: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.images) != 4:
@@ -62,7 +70,7 @@ class BaseChange:
         for img in self.images:
             if img.is_zero():
                 raise InvalidParameter("base-change images must be nonzero")
-        if not self.degenerate and self.apply(P(Ring.FULL)).is_zero():
+        if not self.degenerate and self.sigma_P().is_zero():
             # Auto-flag rather than reject: degenerate contexts stay usable
             # for element evaluation, only pi/lambda are refused.
             self.degenerate = True
@@ -124,18 +132,24 @@ class BaseChange:
         return self.weight.ord_rf(self.apply(x))
 
     def sigma_P(self) -> RationalFunction:
-        return self.apply(P(Ring.FULL))
+        if self._sigma_p is None:
+            self._sigma_p = self.apply(P(Ring.FULL))
+        return self._sigma_p
 
     def sigma_V(self) -> RationalFunction:
-        return self.apply(V())
+        if self._sigma_v is None:
+            self._sigma_v = self.apply(V())
+        return self._sigma_v
 
     def pi_lambda(self):
         """(pi, lambda) = (ord sigma(P), ord sigma(V)); refuses degenerate data."""
-        sp = self.sigma_P()
-        sv = self.sigma_V()
-        if self.degenerate or sp.is_zero() or sv.is_zero():
-            raise DegenerateBaseChange(f"sigma(P) or sigma(V) vanishes for {self.name}")
-        return self.weight.ord_rf(sp), self.weight.ord_rf(sv)
+        if self._pi_lambda is None:
+            sp = self.sigma_P()
+            sv = self.sigma_V()
+            if self.degenerate or sp.is_zero() or sv.is_zero():
+                raise DegenerateBaseChange(f"sigma(P) or sigma(V) vanishes for {self.name}")
+            self._pi_lambda = self.weight.ord_rf(sp), self.weight.ord_rf(sv)
+        return self._pi_lambda
 
     def describe(self) -> str:
         if not self.params:

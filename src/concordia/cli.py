@@ -59,7 +59,7 @@ def _sigma_from(args):
 
 
 def _model_from(args) -> KnotModel:
-    if args.knot:
+    if args.knot is not None:
         return catalog.get_model(args.knot)
     if args.stdin:
         text = sys.stdin.read()
@@ -135,7 +135,9 @@ def _cmd_sum(args) -> int:
     names = [n.strip() for n in args.knots.split(",") if n.strip()]
     if len(names) < 2:
         raise UsageError("--knots needs at least two comma-separated names")
-    models = [as_forward(catalog.get_model(n)) for n in names]
+    # one model per distinct name, so a repeated factor is the same object
+    forward = {n: as_forward(catalog.get_model(n)) for n in dict.fromkeys(names)}
+    models = [forward[n] for n in names]
     total = models[0]
     for m in models[1:]:
         total = connected_sum(total, m)

@@ -390,13 +390,15 @@ def smith_diagonalize(matrix, weight, one, zero, ncols=None) -> SmithForm:
     matrix with no rows carries no width of its own; ncols supplies it.
     Only the remaining block of the working copy is kept up to date: row
     operations touch the columns right of the pivot, and column operations,
-    which only clear the pivot row, touch R alone.
+    which only clear the pivot row, touch R alone.  Each entry's ord is
+    computed once and kept until a row operation rewrites the entry.
     """
     a = [list(row) for row in matrix]
     m = len(a)
     n = len(a[0]) if a else (ncols or 0)
     left = [list(row) for row in identity(m, one, zero)]
     right_t = [list(row) for row in identity(n, one, zero)]   # R transposed
+    ords = [[None] * n for _ in range(m)]   # ord of a[i][j]; None until computed
     diagonal = []
     for s in range(min(m, n)):
         best = best_ord = None
@@ -404,22 +406,28 @@ def smith_diagonalize(matrix, weight, one, zero, ncols=None) -> SmithForm:
             for j in range(s, n):
                 if a[i][j].is_zero():
                     continue
-                o = weight.ord_rf(a[i][j])
+                o = ords[i][j]
+                if o is None:
+                    o = ords[i][j] = weight.ord_rf(a[i][j])
                 if best_ord is None or o < best_ord:
                     best, best_ord = (i, j), o
         if best is None:
             break
         i, j = best
-        a[s], a[i] = a[i], a[s]
+        for rows in (a, ords):
+            rows[s], rows[i] = rows[i], rows[s]
+            for row in rows:
+                row[s], row[j] = row[j], row[s]
         left[s], left[i] = left[i], left[s]
         right_t[s], right_t[j] = right_t[j], right_t[s]
-        for row in a:
-            row[s], row[j] = row[j], row[s]
         pivot = a[s][s]
         for r in range(s + 1, m):       # row_r += f * row_s clears the pivot column
             if not a[r][s].is_zero():
                 f = a[r][s] / pivot
-                _add_multiple(a[r], a[s], f, range(s + 1, n))
+                for c in range(s + 1, n):
+                    if not a[s][c].is_zero():
+                        a[r][c] = a[r][c] + f * a[s][c]
+                        ords[r][c] = None
                 _add_multiple(left[r], left[s], f, range(m))
         for c in range(s + 1, n):       # col_c += f * col_s clears the pivot row
             if not a[s][c].is_zero():
@@ -508,8 +516,17 @@ def apply_boundaries(complex: ChainComplex, sigma) -> dict:
 
     The result depends only on sigma's images of T0..T3, not on its weight,
     so base changes that share images (B(r) for every r) can share it.
+    sigma is applied once per distinct entry; repeated entries share the image.
     """
-    return {k: [[sigma.apply(e) for e in row] for row in complex.map_into(k)]
+    images = {}
+
+    def image(e):
+        value = images.get(e)
+        if value is None:
+            value = images[e] = sigma.apply(e)
+        return value
+
+    return {k: [[image(e) for e in row] for row in complex.map_into(k)]
             for k in complex.maps}
 
 

@@ -14,18 +14,21 @@ Over a valuation ring znat is principal and f_sigma is its ord.  Over S_BN
 realization when the presentation has a single relation; the result is a
 generator-list fractional ideal compared by Groebner containment.
 
-A connected sum keeps its factors.  Over a valuation ring its homology is
-evaluated factor by factor: each factor's homology is computed once and the
-results are folded by the Kunneth formula, and the free coefficient of the
-tensor cycle's class is the product of the factors' coefficients.  No Smith
-form runs on the tensor complex, which is kept for the BN level, the JSON
-form and the d^2 check.
+A connected sum keeps its factors, and its homology costs linear time in
+their number apart from the lists of torsion ords it reports.  Over a
+valuation ring it is evaluated factor by factor: each distinct factor's
+homology is computed once and the results are folded by the Kunneth
+formula, and the free coefficient of the tensor cycle's class is the
+product of the factors' coefficients.  The tensor complex itself is built
+only when something reads it (the JSON form, a one-relation BN
+presentation); the report takes its ranks and the zero pattern of its
+differentials from the factors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .basechange import BaseChange, builtin
@@ -78,11 +81,14 @@ from .laurent import (
 from .valuation import Order
 
 
-@dataclass
+@dataclass(eq=False)
 class KnotModel:
     """Chain complex + distinguished vector + cobordism metadata.
 
-    factors lists the summands of a connected sum, empty for any other model.
+    factors lists the summands of a connected sum (a ConnectedSum), and is
+    empty for any other model.  Models are equal when their name, complex,
+    cycle, signature and expected ideal are, so a connected sum equals the
+    plain model read back from its JSON form.
     """
 
     name: str
@@ -90,14 +96,32 @@ class KnotModel:
     cycle: DistinguishedCycle
     signature: int = None
     expected_ideal: FractionalIdeal = None
-    factors: tuple = field(default=(), compare=False, repr=False)
+
+    factors = ()
 
     def __post_init__(self):
         validate_cycle(self.complex, self.cycle)
 
+    def __eq__(self, other):
+        if not isinstance(other, KnotModel):
+            return NotImplemented
+        return ((self.name, self.complex, self.cycle, self.signature, self.expected_ideal)
+                == (other.name, other.complex, other.cycle, other.signature,
+                    other.expected_ideal))
+
     @property
     def ring(self):
         return self.complex.ring
+
+    @property
+    def ranks(self):
+        """{degree: rank} of the complex."""
+        return self.complex.ranks
+
+    @property
+    def nonzero_maps(self):
+        """The degrees k whose incoming differential, from k - 1, is nonzero."""
+        return {k for k, m in self.complex.maps.items() if not is_zero(m)}
 
     def to_json(self) -> dict:
         return complex_to_json(self.complex, self.cycle, self.name, self.signature)
@@ -162,26 +186,32 @@ class SumHomology:
 def _homology(model: KnotModel, sigma: BaseChange) -> dict:
     """Per-degree homology of the model over sigma's valuation ring.
 
-    A connected sum is evaluated factor by factor and folded by Kunneth; the
-    folded ranks are audited against the tensor complex, degree by degree
-    and by Euler characteristic.  Any other model goes through Smith forms.
+    A connected sum is evaluated factor by factor, each distinct factor (by
+    identity) once however often it repeats, and folded by Kunneth; the
+    folded ranks are audited against the tensor complex's ranks, degree by
+    degree and by Euler characteristic, without building it.  Any other
+    model goes through Smith forms.
     """
     if not model.factors:
         return homology_over_valuation(model.complex, sigma)
-    parts = tuple((f, homology_over_valuation(f.complex, sigma)) for f in model.factors)
+    distinct = {}
+    for f in model.factors:
+        if id(f) not in distinct:
+            distinct[id(f)] = homology_over_valuation(f.complex, sigma)
+    parts = tuple((f, distinct[id(f)]) for f in model.factors)
     folded = {0: (1, ())}
     for _, summaries in parts:
         folded = kunneth(folded, {d: (s.free_rank, s.torsion_ords)
                                   for d, s in summaries.items()})
-    c = model.complex
+    ranks = model.ranks
     out = {}
-    for d in sorted(set(c.degrees()) | set(folded)):
+    for d in sorted(set(ranks) | set(folded)):
         free, torsion = folded.get(d, (0, ()))
-        if free + len(torsion) > c.rank(d):
+        if free + len(torsion) > ranks.get(d, 0):
             raise IntegrityError("free rank plus torsion exceeds the ambient rank")
         out[d] = SumHomology(d, free, torsion, parts)
     if (sum((-1) ** d * s.free_rank for d, s in out.items())
-            != sum((-1) ** d * c.rank(d) for d in c.degrees())):
+            != sum((-1) ** d * r for d, r in ranks.items())):
         raise IntegrityError("Euler characteristic of the folded homology "
                              "differs from the tensor complex's")
     return out
@@ -198,21 +228,22 @@ def _free_coefficients(model: KnotModel, sigma: BaseChange, summary, vector):
 
     For a connected sum, [v1 (x) v2] maps to [v1] (x) [v2] in the free
     quotient of the homology, so each factor contributes the coefficient of
-    its own cycle, and sigma is never applied to the tensor cycle.
+    its own cycle, computed once per distinct factor, and sigma is never
+    applied to the tensor cycle.
     """
     if isinstance(summary, SumHomology):
-        classes = ((part[f.cycle.degree], _sigma_vector(sigma, f.cycle.vector))
-                   for f, part in summary.parts)
+        distinct = {}
+        for f, part in summary.parts:
+            if id(f) not in distinct:
+                distinct[id(f)] = part[f.cycle.degree].free_coefficient(
+                    _sigma_vector(sigma, f.cycle.vector))
+        coeffs = [distinct[id(f)] for f, _ in summary.parts]
     else:
         if vector is None:
             vector = _sigma_vector(sigma, model.cycle.vector)
-        classes = [(summary, vector)]
-    coeffs = []
-    for s, vec in classes:
-        c = s.free_coefficient(vec)
-        if c is None:
-            raise CycleInTorsion("distinguished class has no free part")
-        coeffs.append(c)
+        coeffs = [summary.free_coefficient(vector)]
+    if any(c is None for c in coeffs):
+        raise CycleInTorsion("distinguished class has no free part")
     return coeffs
 
 
@@ -274,19 +305,18 @@ def f_plus(model: KnotModel) -> Fraction:
 def _single_relation(model: KnotModel):
     """The in-map row at the cycle degree, for 1-relation presentations."""
     d = model.cycle.degree
-    c = model.complex
-    if c.rank(d + 1) and not is_zero(c.map_into(d + 1)):
+    if d + 1 in model.nonzero_maps:
         raise UnsupportedPresentation(
             "cycle degree has an outgoing differential; not a cokernel presentation"
         )
-    n_in = c.rank(d - 1)
+    n_in = model.ranks.get(d - 1, 0)
     if n_in == 0:
         return None
     if n_in > 1:
         raise UnsupportedPresentation(
             f"{n_in} relations at the cycle degree; use a valuation context"
         )
-    return c.map_into(d)[0]
+    return model.complex.map_into(d)[0]
 
 
 def znat_bn(model: KnotModel) -> FractionalIdeal:
@@ -298,7 +328,7 @@ def znat_bn(model: KnotModel) -> FractionalIdeal:
     if model.cycle.direction == UNKNOT_TO_K:
         relation = _single_relation(model)
         if relation is None:
-            if model.complex.rank(model.cycle.degree) != 1:
+            if model.ranks.get(model.cycle.degree, 0) != 1:
                 raise UnsupportedPresentation(
                     "free presentation of rank > 1 has no canonical rank-1 image"
                 )
@@ -578,14 +608,14 @@ def unknotting_bound(model: KnotModel, sigma: BaseChange) -> UnknottingReport:
     else:
         n = bound = lex_ceiling(tau, lam)
     annihilation = []
+    ranks = model.ranks
     for d in sorted(summaries):
         if not summaries[d].torsion_ords:
             continue
-        c = model.complex
-        if c.rank(d) != 1 or c.rank(d - 1) == 0:
+        if ranks.get(d, 0) != 1 or ranks.get(d - 1, 0) == 0:
             annihilation.append((d, n, "skipped (cokernel not presented cyclically)"))
             continue
-        column = [row[0] for row in c.map_into(d)]
+        column = [row[0] for row in model.complex.map_into(d)]
         ok = all(
             laurent_member(_power_product(move, picks, model.ring), column, model.ring)
             for picks in _compositions(n, len(move))
@@ -627,12 +657,98 @@ def _power_product(gens, powers, ring):
 
 # -- connected sums -----------------------------------------------------------------
 
-def connected_sum(k1: KnotModel, k2: KnotModel) -> KnotModel:
-    """Tensor the complexes and the distinguished cycles, keeping the factors.
+class ConnectedSum(KnotModel):
+    """k1 # k2: the factors, with the tensor complex and cycle built on demand.
 
-    The tensor complex and cycle serve the BN level, the JSON form and the
-    d^2 check; over a valuation ring the sum is evaluated factor by factor
-    by the Kunneth formula, with no Smith form on the tensor complex.
+    A report reads only what the factors give: the ranks of the tensor
+    complex are the convolution of theirs, its differential into degree
+    p + q + 1 is nonzero exactly where one factor's differential out of p
+    (or q) meets a nonzero rank of the other at q (or p), and the cycle's
+    degree, genus and dplus are sums.  The tensor complex and cycle are
+    built on the first read of .complex, .cycle.vector or to_json, and need
+    no check of their own: d^2 = 0 and the cycle condition hold on a tensor
+    of checked factors by the Leibniz rule in characteristic 2.
+    """
+
+    def __init__(self, k1: KnotModel, k2: KnotModel):
+        self.name = f"{k1.name} # {k2.name}"
+        self.signature = None
+        if k1.signature is not None and k2.signature is not None:
+            self.signature = k1.signature + k2.signature
+        self.expected_ideal = None
+        self.factors = (k1.factors or (k1,)) + (k2.factors or (k2,))
+        self.cycle = _SumCycle(self, k1.cycle, k2.cycle)
+        self._operands = (k1, k2)
+        self._tensor = None
+        r1, r2 = k1.ranks, k2.ranks
+        n1, n2 = k1.nonzero_maps, k2.nonzero_maps
+        self._ranks = {}
+        self._nonzero_maps = set()
+        for p, a in r1.items():
+            for q, b in r2.items():
+                self._ranks[p + q] = self._ranks.get(p + q, 0) + a * b
+                if (p + 1 in n1 and b) or (a and q + 1 in n2):
+                    self._nonzero_maps.add(p + q + 1)
+
+    def __repr__(self):
+        return f"ConnectedSum({self.name!r})"
+
+    @property
+    def ring(self):
+        return self.factors[0].ring
+
+    @property
+    def ranks(self):
+        return self._ranks
+
+    @property
+    def nonzero_maps(self):
+        return self._nonzero_maps
+
+    @property
+    def complex(self):
+        return self._built()[0]
+
+    def _built(self):
+        """(tensor complex, tensor cycle), built on the first call."""
+        if self._tensor is None:
+            k1, k2 = self._operands
+            c1, c2 = k1.complex, k2.complex
+            v1, v2 = k1.cycle.vector, k2.cycle.vector
+            d1, degree = k1.cycle.degree, self.cycle.degree
+            zero = LaurentElement.zero(self.ring)
+            vec = tuple(v1[i] * v2[j] if p == d1 else zero
+                        for p, i, j in tensor_generators(c1, c2, degree))
+            self._tensor = (tensor(c1, c2), DistinguishedCycle(
+                degree, vec, self.cycle.genus, self.cycle.dplus, UNKNOT_TO_K))
+        return self._tensor
+
+
+class _SumCycle:
+    """A connected sum's cycle: degree, genus and dplus now, the vector on first read."""
+
+    direction = UNKNOT_TO_K
+
+    def __init__(self, total: ConnectedSum, c1: DistinguishedCycle, c2: DistinguishedCycle):
+        self._total = total
+        self.degree = c1.degree + c2.degree
+        self.genus = c1.genus + c2.genus
+        self.dplus = c1.dplus + c2.dplus
+
+    @property
+    def vector(self):
+        return self._total._built()[1].vector
+
+    def __eq__(self, other):
+        return self._total._built()[1] == other
+
+
+def connected_sum(k1: KnotModel, k2: KnotModel) -> KnotModel:
+    """The connected sum k1 # k2 of two unknot-to-K models, as a ConnectedSum.
+
+    It keeps the factors and builds no tensor complex: over a valuation ring
+    the sum is evaluated factor by factor by the Kunneth formula, and the
+    tensor complex and cycle are built only when read.
     """
     if k1.ring is not k2.ring:
         raise RingMismatch("connected sum across rings")
@@ -640,28 +756,7 @@ def connected_sum(k1: KnotModel, k2: KnotModel) -> KnotModel:
         raise DirectionMismatch(
             "connected sum needs both models in the unknot-to-K direction"
         )
-    c = tensor(k1.complex, k2.complex)
-    d1, d2 = k1.cycle.degree, k2.cycle.degree
-    degree = d1 + d2
-    labels = tensor_generators(k1.complex, k2.complex, degree)
-    zero = LaurentElement.zero(k1.ring)
-    vec = []
-    for (p, i, j) in labels:
-        if p == d1:
-            vec.append(k1.cycle.vector[i] * k2.cycle.vector[j])
-        else:
-            vec.append(zero)
-    cycle = DistinguishedCycle(
-        degree, tuple(vec),
-        k1.cycle.genus + k2.cycle.genus,
-        k1.cycle.dplus + k2.cycle.dplus,
-        UNKNOT_TO_K,
-    )
-    sig = None
-    if k1.signature is not None and k2.signature is not None:
-        sig = k1.signature + k2.signature
-    factors = (k1.factors or (k1,)) + (k2.factors or (k2,))
-    return KnotModel(f"{k1.name} # {k2.name}", c, cycle, sig, factors=factors)
+    return ConnectedSum(k1, k2)
 
 
 def as_forward(model: KnotModel) -> KnotModel:

@@ -2,11 +2,15 @@
 
 import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concordia import catalog
+from concordia.basechange import BUILTIN_NAMES
 from concordia.cli import main
 from concordia.errors import ConcordiaError
 from concordia.homalg import K_TO_UNKNOT, UNKNOT_TO_K, complex_from_json
@@ -175,6 +179,13 @@ def test_malformed_model_json_exits_2(capsys, monkeypatch, doc):
     assert err.startswith("UsageError: malformed complex JSON")
 
 
+def test_empty_knot_name_is_an_unknown_knot(capsys):
+    # an empty --knot once fell through to --file and raised a TypeError
+    code, out, err = run(capsys, "invariants", "--knot", "", "--example", "D")
+    assert code == 1 and out == ""
+    assert err.startswith("UnknownKnot: no catalog entry named ''")
+
+
 def test_non_integral_entry_exits_2_without_a_gcd(capsys, monkeypatch):
     def no_gcd(a, b):
         raise AssertionError("integrality ran a gcd")
@@ -254,3 +265,79 @@ def test_fuzz_complex_from_json_raises_only_domain_errors(data):
         complex_from_json(data)
     except ConcordiaError:
         pass
+
+
+# -- fuzzing every subcommand: exit 0, 1 or 2, never an uncaught exception ----------
+
+def _joined(strategy, max_size):
+    return st.lists(strategy, max_size=max_size).map(",".join)
+
+
+_rational = st.sampled_from(["1/2", "1", "2/7", "1/8", "0", "-1/3", "3/2", "1/0", "r", ""])
+_name = st.sampled_from(catalog.names()) | st.sampled_from(["", "nope"])
+_ideal_gen = st.sampled_from(["L", "P", "V^3", "L*P^-1", "T1 + T2", "0", ""]) | _garbled()
+_small_int = st.integers(-1, 2).map(str) | st.sampled_from(["x", "", "1.5"])
+_samples = st.sampled_from(["1/8..1:3", "1/4,1/2,1", "1/2", "1..1/2", "0..1:2",
+                            "1/2..1:x", "1/3,1/3", ",", "a", "1/4..1"])
+_stdin_text = st.sampled_from([
+    json.dumps(catalog.show_json("trefoil")), json.dumps(catalog.show_json("exampleE")),
+    "{", "[]", '{"ring": "BN"}', "",
+])
+
+# Each subcommand's flag slots.  A slot holds one flag, or several that
+# exclude each other, each with a strategy for its value (None: a bare
+# switch).  A draw fills nine slots in ten, in any order, so most command
+# lines reach the subcommand and some lack a required flag.
+_SIGMA_SLOTS = [[("--example", st.sampled_from(BUILTIN_NAMES + ("B", "B", "Z")))],
+                [("--r", _rational)]]
+_MODEL_SLOTS = [[("--knot", _name), ("--knot", _name), ("--stdin", None),
+                 ("--file", st.just("no-such-model.json"))]]
+_RING = [("--ring", st.sampled_from(["BN", "FULL", "BN", "FULL", "R"]))]
+_SUBCOMMANDS = {
+    "eval": _SIGMA_SLOTS + [[("--element", _garbled())], _RING, [("--ord", None)],
+                            [("--leading-form", None)]],
+    "profile": _MODEL_SLOTS + [[("--samples", _samples)], [("--depth", _small_int)],
+                               [("--csv", st.just("no-such-directory/out.csv"))]],
+    "sum": _SIGMA_SLOTS + [[("--knots", _joined(_name, 4))]],
+    "membership": [_RING, [("--ideal", _joined(_ideal_gen, 2))], [("--element", _garbled())]],
+    "g-region": [_RING, [("--ideal", _joined(_ideal_gen, 2))], [("--gmax", _small_int)],
+                 [("--dmax", _small_int)]],
+    "unknotting-bound": _MODEL_SLOTS + _SIGMA_SLOTS,
+    "invariants": _MODEL_SLOTS + _SIGMA_SLOTS + [[("--signature", _small_int)]],
+    "catalog": [[("--json", None)]],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    if command == "catalog":
+        argv.append(draw(st.sampled_from(["list", "show", "show", "peek"])))
+        argv += draw(st.lists(_name, max_size=1))
+    slots = _SUBCOMMANDS[command]
+    for i in draw(st.permutations(range(len(slots)))):
+        if draw(st.integers(0, 9)) < 9:
+            flag, value = draw(st.sampled_from(slots[i]))
+            argv.append(flag)
+            if value is not None:
+                argv.append(draw(value))
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_argv(), _stdin_text)
+def test_fuzz_every_subcommand_exits_0_1_or_2(argv, stdin_text):
+    # argparse rejects a command line by raising SystemExit(2); anything
+    # else that escapes main fails the test
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2), argv

@@ -359,6 +359,99 @@ def test_smith_diagonal_ords_are_quotients_of_determinantal_divisors(kind):
             assert weight.ord_rf(d) == delta[k] - delta[k - 1]
 
 
+def _smith_by_full_scan(matrix, weight, one, zero):
+    """smith_diagonalize as it was before it kept its ords: every pivot step
+    takes the ord of every nonzero entry of the remaining block afresh."""
+    a = [list(row) for row in matrix]
+    m, n = len(a), len(a[0])
+    left = [list(row) for row in identity(m, one, zero)]
+    right_t = [list(row) for row in identity(n, one, zero)]
+    diagonal = []
+    for s in range(min(m, n)):
+        best = best_ord = None
+        for i in range(s, m):
+            for j in range(s, n):
+                if a[i][j].is_zero():
+                    continue
+                o = weight.ord_rf(a[i][j])
+                if best_ord is None or o < best_ord:
+                    best, best_ord = (i, j), o
+        if best is None:
+            break
+        i, j = best
+        a[s], a[i] = a[i], a[s]
+        left[s], left[i] = left[i], left[s]
+        right_t[s], right_t[j] = right_t[j], right_t[s]
+        for row in a:
+            row[s], row[j] = row[j], row[s]
+        pivot = a[s][s]
+        for r in range(s + 1, m):
+            if not a[r][s].is_zero():
+                f = a[r][s] / pivot
+                for c in range(s + 1, n):
+                    if not a[s][c].is_zero():
+                        a[r][c] = a[r][c] + f * a[s][c]
+                for c in range(m):
+                    if not left[s][c].is_zero():
+                        left[r][c] = left[r][c] + f * left[s][c]
+        for c in range(s + 1, n):
+            if not a[s][c].is_zero():
+                f = a[s][c] / pivot
+                for k in range(n):
+                    if not right_t[s][k].is_zero():
+                        right_t[c][k] = right_t[c][k] + f * right_t[s][k]
+        diagonal.append(pivot)
+    return diagonal, left, transpose(right_t)
+
+
+class _CountingWeight:
+    def __init__(self, weight):
+        self.weight, self.calls = weight, 0
+
+    def ord_rf(self, x):
+        self.calls += 1
+        return self.weight.ord_rf(x)
+
+
+def _tied_entry(rng, vars):
+    """A sum of up to two monomials of low degree, or zero: ords tie often."""
+    if rng.random() < 0.25:
+        return RationalFunction.zero(vars)
+    return RationalFunction(random_poly(rng, vars, max_terms=2, max_exp=1, nonzero=True))
+
+
+@pytest.mark.parametrize("kind", ["rational", "lex"])
+def test_smith_with_kept_ords_matches_the_full_scan(kind):
+    # the same pivots, in the same places: min ord, ties to the lowest
+    # (row, col) in row-major order after the swaps
+    vars = ("x", "u")
+    rng = random.Random(7100 if kind == "rational" else 7101)
+    one, zero = RationalFunction.one(vars), RationalFunction.zero(vars)
+    kept_calls = scan_calls = 0
+    for trial in range(40):
+        if kind == "rational":
+            weight = MonomialWeight.rational(
+                {v: Fraction(rng.randint(1, 3), rng.randint(1, 2)) for v in vars})
+        else:
+            weight = MonomialWeight.lex(
+                {v: (Fraction(rng.randint(0, 1)), Fraction(rng.randint(1, 2))) for v in vars})
+        # entries with denominators eliminate slowly past 4 x 4
+        entry, size = (_tied_entry, 5) if trial % 2 else (_random_entry, 4)
+        rows, cols = rng.randint(1, size), rng.randint(1, size)
+        m = [[entry(rng, vars) for _ in range(cols)] for _ in range(rows)]
+        kept, scan = _CountingWeight(weight), _CountingWeight(weight)
+        f = smith_diagonalize(m, kept, one, zero)
+        diagonal, left, right = _smith_by_full_scan(m, scan, one, zero)
+        # the diagonal is the pivots in order, and L and R record every row
+        # and column swap, so equal transforms mean equal pivot positions
+        assert f.diagonal == diagonal and f.rank == len(diagonal)
+        assert [list(row) for row in f.left] == [list(row) for row in left]
+        assert [list(row) for row in f.right] == [list(row) for row in right]
+        assert kept.calls <= scan.calls
+        kept_calls, scan_calls = kept_calls + kept.calls, scan_calls + scan.calls
+    assert kept_calls < scan_calls
+
+
 # -- homology ----------------------------------------------------------------------------
 
 def test_trefoil_homology_over_b_half():

@@ -349,6 +349,25 @@ def test_connected_sum_requires_forward_models():
         connected_sum(trefoil(), example_e())
 
 
+@pytest.mark.parametrize("names", [
+    ("unknot", "trefoil"), ("trefoil", "trefoil_left"), ("trefoil_left", "trefoil"),
+    ("exampleE", "exampleE"), ("trefoil", "unknot", "trefoil_left"),
+    ("trefoil_left", "trefoil", "trefoil", "unknot"),
+], ids="#".join)
+def test_sum_shape_from_the_factors_matches_the_tensor_complex(names):
+    # ranks by convolution and the zero pattern of the differentials, read
+    # without the tensor complex, against the plain model of the sum's JSON
+    models = [as_forward(catalog.get_model(n)) for n in names]
+    total = models[0]
+    for m in models[1:]:
+        total = connected_sum(total, m)
+    ranks, nonzero_maps = dict(total.ranks), set(total.nonzero_maps)
+    assert total._tensor is None
+    plain = KnotModel.from_json(total.to_json())
+    assert ranks == plain.ranks and nonzero_maps == plain.nonzero_maps
+    assert total.ring is plain.ring and total.cycle.degree == plain.cycle.degree
+
+
 def test_as_forward_preserves_f():
     fwd = as_forward(left_trefoil())
     assert fwd.cycle.direction == UNKNOT_TO_K

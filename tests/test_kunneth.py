@@ -134,7 +134,8 @@ def test_three_factor_report_runs_no_smith_form_on_the_tensor_complex(monkeypatc
     monkeypatch.setattr(homalg, "smith_diagonalize", counting_smith)
     invariant_report(total, builtin("B", Fraction(1, 2)))
     assert not any(c is total.complex for c in homology)
-    assert len(homology) == 2 * len(total.factors)
+    # one homology per distinct factor and base change: the two trefoils are one object
+    assert len(homology) == 2 * len({id(f) for f in total.factors}) == 4
     assert shapes and max(max(s) for s in shapes) <= 2
 
 
