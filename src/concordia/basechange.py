@@ -17,6 +17,7 @@ Builtins (parameter variables q1..q3 always have weight 0):
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,9 +51,12 @@ def _series_one() -> RationalFunction:
 class BaseChange:
     """Substitution data for the four marking variables plus a weight.
 
-    sigma(P), sigma(V) and (pi, lambda) are computed once per instance and
-    kept; sigma(V) waits for its first use, so building one costs a single
-    application of sigma.
+    image(x) is sigma(x) for a Laurent element, applied once and kept in a
+    memo keyed by the element; sigma(P) and sigma(V) are read through it and
+    (pi, lambda) is kept too.  The memo depends only on the images of
+    T0..T3, so a B(r) derived from another B by b_family shares it: across
+    a family that varies only r, sigma meets each element once.  A memo
+    lives as long as the base changes holding it, one command.
     """
 
     name: str
@@ -60,8 +64,7 @@ class BaseChange:
     weight: MonomialWeight
     params: dict = field(default_factory=dict)
     degenerate: bool = False
-    _sigma_p: RationalFunction = field(default=None, init=False, repr=False)
-    _sigma_v: RationalFunction = field(default=None, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
     _pi_lambda: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -128,18 +131,21 @@ class BaseChange:
             den = den * npow[neg[i]] * dpow[pos[i]]
         return RationalFunction(num, den)
 
+    def image(self, x: LaurentElement) -> RationalFunction:
+        """sigma(x), applied on the first request for x and kept in the memo."""
+        value = self._memo.get(x)
+        if value is None:
+            value = self._memo[x] = self.apply(x)
+        return value
+
     def ord_of(self, x) -> Order:
         return self.weight.ord_rf(self.apply(x))
 
     def sigma_P(self) -> RationalFunction:
-        if self._sigma_p is None:
-            self._sigma_p = self.apply(P(Ring.FULL))
-        return self._sigma_p
+        return self.image(P(Ring.FULL))
 
     def sigma_V(self) -> RationalFunction:
-        if self._sigma_v is None:
-            self._sigma_v = self.apply(V())
-        return self._sigma_v
+        return self.image(V())
 
     def pi_lambda(self):
         """(pi, lambda) = (ord sigma(P), ord sigma(V)); refuses degenerate data."""
@@ -170,13 +176,7 @@ def builtin(name: str, r=None) -> BaseChange:
     if name == "B":
         if r is None:
             raise MissingParameter("builtin B needs the rational parameter r")
-        r = Fraction(r)
-        if not 0 < r <= 1:
-            raise InvalidParameter(f"B requires r in (0, 1], got {r}")
-        t1 = series_poly("1 + q1*u")
-        t2 = series_poly("1 + q2*x")
-        weight = MonomialWeight.rational({"u": r * quarter, "x": quarter})
-        return BaseChange("B", (t1, t1, t2, t2), weight, params={"r": r})
+        return b_family(r)
     if name == "C":
         t1 = series_poly("1 + y")
         t2 = series_poly("1 + x")
@@ -192,6 +192,26 @@ def builtin(name: str, r=None) -> BaseChange:
         t2 = series_poly("1 + x")
         return BaseChange("D", (one, one, t2, t2), MonomialWeight.rational({"x": quarter}))
     raise UnknownExample(f"no builtin base change named {name!r} (have {BUILTIN_NAMES})")
+
+
+def b_family(r, family: BaseChange = None) -> BaseChange:
+    """B(r); given family, another B(r'), the result shares its images and memo.
+
+    Only the weight depends on r, so sigma applied under one member of the
+    family is not applied again under another.
+    """
+    r = Fraction(r)
+    if not 0 < r <= 1:
+        raise InvalidParameter(f"B requires r in (0, 1], got {r}")
+    quarter = Fraction(1, 4)
+    weight = MonomialWeight.rational({"u": r * quarter, "x": quarter})
+    if family is None:
+        t1 = series_poly("1 + q1*u")
+        t2 = series_poly("1 + q2*x")
+        return BaseChange("B", (t1, t1, t2, t2), weight, params={"r": r})
+    member = copy.copy(family)    # shares images and the memo; post-init checks already ran
+    member.weight, member.params, member._pi_lambda = weight, {"r": r}, None
+    return member
 
 
 def custom(substs: dict, weights: dict, lex_pairs: bool = False) -> BaseChange:

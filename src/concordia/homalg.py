@@ -20,10 +20,10 @@ lowest (row, col) in row-major order), eliminations divide exactly in the
 fraction field, and the recorded transforms stay invertible over the
 valuation ring because every multiplier has nonnegative ord.
 
-The computation has two parts.  apply_boundaries applies sigma once to each
-boundary entry; it depends only on sigma's images of T0..T3, so callers that
-vary only the weight (a profile over B(r)) apply sigma once per set of
-images.  homology_of_applied then runs one Smith form per stored
+The computation is one pass per complex.  Each boundary entry goes through
+sigma's memo of images, which depends only on sigma's images of T0..T3, so
+a family of base changes that varies only the weight (B(r) over r) applies
+sigma once per distinct entry.  One Smith form then runs per stored
 differential.  Over a valuation ring the kernel of the outgoing map is a
 direct summand, so a degree's homology is read from the Smith forms of its
 two maps alone: the torsion is the incoming map's nonunit diagonal, the free
@@ -452,7 +452,6 @@ class HomologySummary:
     """
 
     degree: int
-    ambient_rank: int
     free_rank: int
     torsion_ords: tuple      # descending Orders
     _weight: object
@@ -511,29 +510,10 @@ class HomologySummary:
         return best
 
 
-def apply_boundaries(complex: ChainComplex, sigma) -> dict:
-    """sigma applied to every boundary entry, keyed like complex.maps.
+def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
+    """Per-degree free rank, descending torsion ords, and reduction transforms.
 
-    The result depends only on sigma's images of T0..T3, not on its weight,
-    so base changes that share images (B(r) for every r) can share it.
-    sigma is applied once per distinct entry; repeated entries share the image.
-    """
-    images = {}
-
-    def image(e):
-        value = images.get(e)
-        if value is None:
-            value = images[e] = sigma.apply(e)
-        return value
-
-    return {k: [[image(e) for e in row] for row in complex.map_into(k)]
-            for k in complex.maps}
-
-
-def homology_of_applied(complex: ChainComplex, applied: dict, weight) -> dict:
-    """Per-degree homology of apply_boundaries' output under the given weight.
-
-    applied is only read, so one applied complex serves many weights.  One
+    sigma.image gives each boundary entry's image from sigma's memo.  One
     Smith form per stored differential serves both degrees it joins: the
     torsion of H_d is read off the incoming map's nonunit diagonal, and the
     free rank is n - rank_in - rank_out.
@@ -541,8 +521,11 @@ def homology_of_applied(complex: ChainComplex, applied: dict, weight) -> dict:
     from .field2 import RationalFunction
     from .basechange import SERIES_VARS
 
+    weight = sigma.weight
     one = RationalFunction.one(SERIES_VARS)
     zero = RationalFunction.zero(SERIES_VARS)
+    applied = {k: [[sigma.image(e) for e in row] for row in m]
+               for k, m in complex.maps.items()}
     forms = {k: smith_diagonalize(applied[k], weight, one, zero, ncols=complex.rank(k))
              for k in sorted(applied)}
 
@@ -563,7 +546,6 @@ def homology_of_applied(complex: ChainComplex, applied: dict, weight) -> dict:
         ords = (weight.ord_rf(x) for x in into.diagonal)
         out[d] = HomologySummary(
             degree=d,
-            ambient_rank=n,
             free_rank=n - into.rank - outof.rank,
             torsion_ords=tuple(sorted((o for o in ords if not o.is_zero()), reverse=True)),
             _weight=weight,
@@ -576,16 +558,6 @@ def homology_of_applied(complex: ChainComplex, applied: dict, weight) -> dict:
         if out[d].free_rank + len(out[d].torsion_ords) > n:
             raise IntegrityError("free rank plus torsion exceeds the ambient rank")
     return out
-
-
-def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
-    """Per-degree free rank, descending torsion ords, and reduction transforms.
-
-    The composition of apply_boundaries and homology_of_applied: sigma is
-    applied to each boundary entry once, then one Smith form runs per
-    stored differential.
-    """
-    return homology_of_applied(complex, apply_boundaries(complex, sigma), sigma.weight)
 
 
 def kunneth(h1: dict, h2: dict) -> dict:

@@ -14,15 +14,18 @@ Over a valuation ring znat is principal and f_sigma is its ord.  Over S_BN
 realization when the presentation has a single relation; the result is a
 generator-list fractional ideal compared by Groebner containment.
 
-A connected sum keeps its factors, and its homology costs linear time in
-their number apart from the lists of torsion ords it reports.  Over a
-valuation ring it is evaluated factor by factor: each distinct factor's
+Every f_sigma, whether for a report, a sum, a profile or verify, takes one
+route: _homology, then _znat.  A model is evaluated as a connected sum of
+its factors, a plain model as a sum of one.  Each distinct factor's
 homology is computed once and the results are folded by the Kunneth
-formula, and the free coefficient of the tensor cycle's class is the
-product of the factors' coefficients.  The tensor complex itself is built
-only when something reads it (the JSON form, a one-relation BN
-presentation); the report takes its ranks and the zero pattern of its
-differentials from the factors.
+formula, and the free coefficient of the sum's cycle class is the product
+of the factors' coefficients, so a sum costs linear time in its number of
+factors apart from the lists of torsion ords it reports.  The tensor
+complex itself is built only when something reads it (the JSON form, a
+one-relation BN presentation); the report takes its ranks and the zero
+pattern of its differentials from the factors.  A profile evaluates r ->
+f_r under one family of base changes B(r) (basechange.b_family), so sigma
+is applied once per element whatever the number of samples.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basechange import BaseChange, builtin
+from .basechange import BaseChange, b_family, builtin
 from .errors import (
     CycleInTorsion,
     DirectionMismatch,
@@ -49,10 +52,8 @@ from .homalg import (
     ChainComplex,
     DistinguishedCycle,
     UNKNOT_TO_K,
-    apply_boundaries,
     complex_from_json,
     complex_to_json,
-    homology_of_applied,
     homology_over_valuation,
     is_zero,
     kunneth,
@@ -162,11 +163,11 @@ def _check_sigma(model: KnotModel, sigma: BaseChange):
 
 
 def _sigma_vector(sigma: BaseChange, vec):
-    return [sigma.apply(e) for e in vec]
+    return [sigma.image(e) for e in vec]
 
 
 class SumHomology:
-    """Homology of a connected sum at one degree, folded from its factors.
+    """Homology of a model at one degree, folded from its factors.
 
     torsion_ords descend; parts pairs each factor with its homology summaries
     over the same valuation ring, and the class of the sum's cycle is read
@@ -186,19 +187,18 @@ class SumHomology:
 def _homology(model: KnotModel, sigma: BaseChange) -> dict:
     """Per-degree homology of the model over sigma's valuation ring.
 
-    A connected sum is evaluated factor by factor, each distinct factor (by
-    identity) once however often it repeats, and folded by Kunneth; the
-    folded ranks are audited against the tensor complex's ranks, degree by
-    degree and by Euler characteristic, without building it.  Any other
-    model goes through Smith forms.
+    The model is evaluated factor by factor, a plain model as its own one
+    factor, each distinct factor (by identity) once however often it
+    repeats, and folded by Kunneth; the folded ranks are audited against the
+    model's ranks, degree by degree and by Euler characteristic, without
+    building a tensor complex.
     """
-    if not model.factors:
-        return homology_over_valuation(model.complex, sigma)
+    factors = model.factors or (model,)
     distinct = {}
-    for f in model.factors:
+    for f in factors:
         if id(f) not in distinct:
             distinct[id(f)] = homology_over_valuation(f.complex, sigma)
-    parts = tuple((f, distinct[id(f)]) for f in model.factors)
+    parts = tuple((f, distinct[id(f)]) for f in factors)
     folded = {0: (1, ())}
     for _, summaries in parts:
         folded = kunneth(folded, {d: (s.free_rank, s.torsion_ords)
@@ -213,7 +213,7 @@ def _homology(model: KnotModel, sigma: BaseChange) -> dict:
     if (sum((-1) ** d * s.free_rank for d, s in out.items())
             != sum((-1) ** d * r for d, r in ranks.items())):
         raise IntegrityError("Euler characteristic of the folded homology "
-                             "differs from the tensor complex's")
+                             "differs from the complex's")
     return out
 
 
@@ -223,7 +223,7 @@ def znat_valuation(model: KnotModel, sigma: BaseChange) -> ValuationIdeal:
     return _znat(model, sigma, _homology(model, sigma))
 
 
-def _free_coefficients(model: KnotModel, sigma: BaseChange, summary, vector):
+def _free_coefficients(sigma: BaseChange, summary: SumHomology):
     """Free coefficients of the cycle's class; their product is its coefficient.
 
     For a connected sum, [v1 (x) v2] maps to [v1] (x) [v2] in the free
@@ -231,30 +231,22 @@ def _free_coefficients(model: KnotModel, sigma: BaseChange, summary, vector):
     its own cycle, computed once per distinct factor, and sigma is never
     applied to the tensor cycle.
     """
-    if isinstance(summary, SumHomology):
-        distinct = {}
-        for f, part in summary.parts:
-            if id(f) not in distinct:
-                distinct[id(f)] = part[f.cycle.degree].free_coefficient(
-                    _sigma_vector(sigma, f.cycle.vector))
-        coeffs = [distinct[id(f)] for f, _ in summary.parts]
-    else:
-        if vector is None:
-            vector = _sigma_vector(sigma, model.cycle.vector)
-        coeffs = [summary.free_coefficient(vector)]
+    distinct = {}
+    for f, part in summary.parts:
+        if id(f) not in distinct:
+            distinct[id(f)] = part[f.cycle.degree].free_coefficient(
+                _sigma_vector(sigma, f.cycle.vector))
+    coeffs = [distinct[id(f)] for f, _ in summary.parts]
     if any(c is None for c in coeffs):
         raise CycleInTorsion("distinguished class has no free part")
     return coeffs
 
 
-def _znat(model: KnotModel, sigma: BaseChange, summaries: dict,
-          vector=None) -> ValuationIdeal:
-    """znat from the homology over sigma's valuation ring.
+def _znat(model: KnotModel, sigma: BaseChange, summaries: dict) -> ValuationIdeal:
+    """znat from _homology's summaries over sigma's valuation ring.
 
     The one path behind znat_valuation, f_sigma, f_plus, the profiles and
     the report; each caller computes the summaries once and passes them in.
-    vector is sigma applied to the distinguished vector, when the caller
-    already has it.
     """
     pi, lam = sigma.pi_lambda()
     g, dplus = model.cycle.genus, model.cycle.dplus
@@ -269,15 +261,15 @@ def _znat(model: KnotModel, sigma: BaseChange, summaries: dict,
     if model.cycle.direction == UNKNOT_TO_K:
         order = shift_ord
         c = None
-        for ci in _free_coefficients(model, sigma, summary, vector):
+        for ci in _free_coefficients(sigma, summary):
             order = order - sigma.weight.ord_rf(ci)
             c = ci if c is None else c * ci
         return ValuationIdeal(shift / c, order)
-    if vector is None:
-        vector = _sigma_vector(sigma, model.cycle.vector)
-    lift = summary.free_generator_lift()
+    # a K-to-unknot model is never a connected sum: its one part is itself
+    [(_, part)] = summary.parts
+    lift = part[model.cycle.degree].free_generator_lift()
     val = None
-    for a, b in zip(vector, lift):
+    for a, b in zip(_sigma_vector(sigma, model.cycle.vector), lift):
         term = a * b
         val = term if val is None else val + term
     if val is None or val.is_zero():
@@ -426,46 +418,25 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def f_r_evaluator(model: KnotModel):
-    """The function r -> f_r(model), the ord of znat under B(r).
-
-    B(r) sends T0..T3 to the same images for every r: sigma is applied to
-    the boundaries and the cycle once per set of images, only the weight
-    varies with r, and each r is evaluated once.
-    """
-    applied = {}
-    values = {}
-
-    def f_r(r) -> Order:
-        r = Fraction(r)
-        if r not in values:
-            sigma = builtin("B", r)
-            hit = applied.get(sigma.images)
-            if hit is None:
-                hit = applied[sigma.images] = (
-                    apply_boundaries(model.complex, sigma),
-                    _sigma_vector(sigma, model.cycle.vector),
-                )
-            boundaries, vector = hit
-            summaries = homology_of_applied(model.complex, boundaries, sigma.weight)
-            values[r] = _znat(model, sigma, summaries, vector).order
-        return values[r]
-
-    return f_r
-
-
 def f_profile(model: KnotModel, samples, depth: int = 6) -> ProfileReport:
-    """Evaluate r -> f_r on the samples and fit exact affine segments."""
+    """Evaluate r -> f_r on the samples and fit exact affine segments.
+
+    Every B(r) comes from one family, so sigma meets each element once, and
+    each r is evaluated once.
+    """
     rs = [Fraction(r) for r in samples]
     if sorted(set(rs)) != rs or not rs:
         raise UsageError("samples must be distinct and sorted ascending")
     if rs[0] <= 0 or rs[-1] > 1:
         raise UsageError("samples must lie in (0, 1]")
 
-    f_r = f_r_evaluator(model)
+    family = b_family(rs[0])
+    values = {}
 
     def evaluate(r: Fraction) -> Fraction:
-        return f_r(r).as_fraction()
+        if r not in values:
+            values[r] = f_sigma(model, b_family(r, family)).as_fraction()
+        return values[r]
 
     pts = [(r, evaluate(r)) for r in rs]
     if len(pts) == 1:

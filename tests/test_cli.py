@@ -133,6 +133,13 @@ def test_domain_error_exits_1(capsys):
     assert "UnknownKnot" in err
 
 
+@pytest.mark.parametrize("spelling", [("--r", "-1/3"), ("--r=-1/3",)])
+def test_negative_r_is_an_invalid_parameter_however_spelled(capsys, spelling):
+    code, _, err = run(capsys, "invariants", "--knot", "trefoil", "--example", "B", *spelling)
+    assert code == 1
+    assert "InvalidParameter: B requires r in (0, 1], got -1/3" in err
+
+
 def test_bad_samples_exit_2(capsys):
     code, _, err = run(capsys, "profile", "--knot", "trefoil", "--samples", "")
     assert code == 2

@@ -3,6 +3,7 @@
 import io
 import json
 import time
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -65,14 +66,36 @@ def test_report_two_homologies_one_smith_form_per_differential(monkeypatch, make
     [Fraction(k, 9) for k in range(1, 10)],
 ])
 def test_profile_applies_sigma_to_each_boundary_entry_once(monkeypatch, name, samples):
-    # a JSON round trip gives every boundary entry an object of its own
+    # a JSON round trip gives every boundary entry an object of its own, so
+    # only sharing by value keeps equal entries from being applied twice
     model = KnotModel.from_json(catalog.get_model(name).to_json())
-    entries = [e for m in model.complex.maps.values() for row in m for e in row]
-    ids = {id(e) for e in entries}
-    assert len(ids) == len(entries)
+    entries = {e for m in model.complex.maps.values() for row in m for e in row}
     applied = _counted(monkeypatch, BaseChange, "apply")
     f_profile(model, samples)
-    assert sum(1 for args in applied if id(args[1]) in ids) == len(entries)
+    counts = Counter(args[1] for args in applied)
+    assert all(counts[e] == 1 for e in entries)
+
+
+def test_profile_applies_p_and_v_once_across_samples(monkeypatch):
+    applied = _counted(monkeypatch, BaseChange, "apply")
+    f_profile(catalog.get_model("exampleE"), [Fraction(k, 9) for k in range(1, 10)])
+    counts = Counter(args[1] for args in applied)
+    assert (counts[P(Ring.FULL)], counts[V()]) == (1, 1)
+
+
+def test_profile_of_a_sum_is_linear_in_its_factors(monkeypatch):
+    # A budget against regressions: evaluated through the tensor complex,
+    # a profile of six trefoils takes minutes.
+    _no_tensor(monkeypatch)
+    trefoil = catalog.get_model("trefoil")
+    six = trefoil
+    for _ in range(5):
+        six = connected_sum(six, trefoil)
+    samples = [Fraction(k, 8) for k in range(1, 9)]
+    start = time.perf_counter()
+    assert f_profile(six, samples).render() == "f_r = 6*r on [1/8, 1]"
+    assert f_profile(_mixed_sum(), samples).render() == "f_r = 0 on [1/8, 1]"
+    assert time.perf_counter() - start < 5
 
 
 def test_recorded_rank_disagreeing_raises(monkeypatch):

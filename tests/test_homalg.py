@@ -511,7 +511,7 @@ class _EntrywiseSigma:
         self.table = table
         self.weight = builtin("B", r=Fraction(1, 2)).weight
 
-    def apply(self, e):
+    def image(self, e):
         return self.table[e]
 
 
