@@ -184,13 +184,14 @@ def validate_cycle(complex: ChainComplex, cycle: DistinguishedCycle):
     if len(cycle.vector) != n:
         raise NotACycle(f"vector length {len(cycle.vector)} != rank {n} in degree {cycle.degree}")
     zero = complex.zero
+    # an absent differential is zero and passes either test
     if cycle.direction == UNKNOT_TO_K:
-        out = complex.map_into(cycle.degree + 1)
+        out = complex.maps.get(cycle.degree + 1, ())
         image = mat_mul((tuple(cycle.vector),), out, zero)
         if not is_zero(image):
             raise NotACycle("distinguished vector is not killed by the differential")
     else:
-        incoming = complex.map_into(cycle.degree)
+        incoming = complex.maps.get(cycle.degree, ())
         pairing = mat_mul(incoming, transpose((tuple(cycle.vector),)), zero)
         if not is_zero(pairing):
             raise NotACycle("cofunctional does not vanish on boundaries")
@@ -456,9 +457,10 @@ class HomologySummary:
     torsion_ords: tuple      # descending Orders
     _weight: object
     _divisors: list          # nonzero diagonal of the incoming map's Smith form
-    _right_in: list          # its R
+    _right_in: list          # its R; None (the identity) when no map is stored
     _outgoing: object        # the outgoing map, None when none is stored
-    _kernel: list            # rows spanning ker(outgoing) over the valuation ring
+    _kernel: list            # rows spanning ker(outgoing) over the valuation ring;
+                             # None (the unit vectors) when no map is stored
     _zero_elt: object
 
     def class_coords(self, vec):
@@ -469,7 +471,8 @@ class HomologySummary:
         return self._split(vec)
 
     def _split(self, vec):
-        y = mat_mul((tuple(vec),), self._right_in, self._zero_elt)[0]
+        y = tuple(vec) if self._right_in is None else mat_mul(
+            (tuple(vec),), self._right_in, self._zero_elt)[0]
         rank_in = len(self._divisors)
         return y[:rank_in], y[rank_in:]
 
@@ -502,8 +505,13 @@ class HomologySummary:
         The kernel rows span Z, so one of them projects to a unit multiple of
         the generator of Z's image: the row whose projection has least ord.
         """
+        rows = self._kernel
+        if rows is None:
+            one = type(self._zero_elt).one(self._zero_elt.vars)
+            n = len(self._divisors) + self.free_rank
+            rows = (tuple(one if i == j else self._zero_elt for j in range(n)) for i in range(n))
         best = best_ord = None
-        for row in self._kernel:
+        for row in rows:
             _, o = self._least_ord(self._split(row)[1])
             if o is not None and (best_ord is None or o < best_ord):
                 best, best_ord = row, o
@@ -530,9 +538,9 @@ def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
              for k in sorted(applied)}
 
     def form(k):
-        # an absent map is zero, and so is its own Smith form
-        return forms.get(k) or SmithForm([], 0, identity(complex.rank(k - 1), one, zero),
-                                         identity(complex.rank(k), one, zero))
+        # an absent map is zero, and so is its own Smith form; its L and R
+        # are identities, left as None rather than allocated
+        return forms.get(k) or SmithForm([], 0, None, None)
 
     out = {}
     for d in complex.degrees():
@@ -552,7 +560,7 @@ def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
             _divisors=into.diagonal,
             _right_in=into.right,
             _outgoing=applied.get(d + 1),
-            _kernel=outof.left[outof.rank:],
+            _kernel=None if outof.left is None else outof.left[outof.rank:],
             _zero_elt=zero,
         )
         if out[d].free_rank + len(out[d].torsion_ords) > n:

@@ -10,20 +10,30 @@ before the U-variables, and reduce.
 
 The reduced Groebner basis is unique for a given monomial order, which makes
 ideal computations deterministic regardless of generator order; the four
-most recently used bases are cached per generator set.  Reduction takes each
-leading term from a heap, and Buchberger hands its kept leading terms to
-the reducer.  A g-region computes one basis for its whole box and makes one
-short reduction per cell, walking normal forms from cell to cell; every
+most recently used bases are cached per generator set.  Inside the engine a
+monomial is one Python int (`Packing`): the high fields hold the total
+degree and the prefix sums of the exponents, so int order is grevlex order,
+and the low fields hold the exponents under guard bits, so a product is an
+int sum and divisibility is one masked subtraction.  The field width comes
+from the largest degree a call can reach: twice the larger of the input
+degree and the degree cap in Buchberger, and the degree of the box's
+largest product in a g-region; a query of higher degree packs the basis
+again, wider.  Poly2 stays at the API edge: `buchberger` returns the
+canonically sorted Poly2 elements, and the basis keeps its packed divisors
+for the queries that reuse it.  Reduction takes each leading term from a
+heap, and Buchberger takes each pair from a heap ordered by (lcm, i, j),
+skipping pairs the Gebauer-Moller criteria retired after they were queued.
+A g-region computes one basis for its whole box and makes one short
+reduction per cell, walking normal forms from cell to cell; every
 membership query on an ideal reads the basis of its cleared generators.
 The environment variable CONCORDIA_GB_MAXDEG caps the degree of any new
 basis element so a pathological input aborts with a diagnostic instead of
-running unbounded.
+running unbounded; a value that is not an integer is a UsageError.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 import os
 import re
 from collections import OrderedDict
@@ -36,7 +46,7 @@ from .errors import (
     UsageError,
     ZeroElement,
 )
-from .field2 import Poly2, divides, grevlex_key
+from .field2 import Poly2
 from .laurent import (
     L,
     LaurentElement,
@@ -56,7 +66,11 @@ _SAT_VARS = {
 
 
 def degree_cap():
-    return int(os.environ.get("CONCORDIA_GB_MAXDEG", "128"))
+    text = os.environ.get("CONCORDIA_GB_MAXDEG", "128")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"CONCORDIA_GB_MAXDEG must be an integer, got {text!r}") from None
 
 
 def saturation_poly(x: LaurentElement) -> Poly2:
@@ -92,66 +106,162 @@ def saturation_relations(ring: Ring):
 
 # -- Groebner engine ----------------------------------------------------------
 
-def _heap_key(t):
-    """grevlex_key negated, so the leading term is the heap minimum."""
-    return (-sum(t),) + t[::-1]
+class Packing:
+    """Monomials in n variables packed into ints, for total degrees up to
+    `capacity`.
+
+    Every field is w + 1 bits wide, where 2^w exceeds the degree bound given.
+    The low n fields hold the exponents e_1, ..., e_n (e_1 lowest), each
+    under a guard bit that stays 0.  The high n fields hold s_1, ..., s_n,
+    where s_k = e_1 + ... + e_k, so the top field is the total degree.  An
+    int comparison reads (deg, s_{n-1}, ..., s_1) first, which is graded
+    reverse lexicographic order, so a polynomial's leading term is its
+    largest int.  The product of two monomials is the sum of their ints, and
+    a divides b iff ((b | G) - a) & G == G for the mask G of the guard bits:
+    a field of a bigger than b's borrows from its guard bit.  No field may
+    exceed the capacity, or it would carry into its neighbour, so a caller
+    sizes the packing by the largest degree its arithmetic can reach.
+    """
+
+    def __init__(self, n, degree):
+        w = max(degree, 1).bit_length()
+        self.n = n
+        self.w = w
+        self.capacity = (1 << w) - 1
+        self.shifts = tuple(k * (w + 1) for k in range(n))
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guard = self.ones << w
+        self.half = n * (w + 1)
+        self.low = (1 << self.half) - 1
+        self.top = self.half + self.shifts[-1]
+
+    def _with_sums(self, low):
+        # times ones, field k collects e_1 + ... + e_k; no sum exceeds the
+        # degree, so nothing carries
+        return (low * self.ones & self.low) << self.half | low
+
+    def pack(self, t) -> int:
+        if sum(t) > self.capacity:
+            raise ValueError(f"monomial {t} exceeds the packed degree {self.capacity}")
+        low = 0
+        for e, s in zip(t, self.shifts):
+            low |= e << s
+        return self._with_sums(low)
+
+    def unpack(self, m) -> tuple:
+        return tuple((m >> s) & self.capacity for s in self.shifts)
+
+    def degree(self, m) -> int:
+        return m >> self.top
+
+    def lcm(self, a, b) -> int:
+        a &= self.low
+        b &= self.low
+        # a field of a at least b's keeps its guard bit; spread each kept
+        # guard bit over its field to select a's fields there
+        keep = ((a | self.guard) - b) & self.guard
+        mask = (keep >> self.w) * self.capacity
+        return self._with_sums((a & mask) | (b & ~mask))
+
+    def poly(self, p: Poly2) -> list:
+        """The packed terms of p, leading term first."""
+        return sorted(map(self.pack, p.terms), reverse=True)
 
 
-def _leads(basis):
-    """(leading term, terms) of each basis element, in basis order."""
-    return [(g.leading_term(), g.terms) for g in basis]
+def _divides(a, b, guard) -> bool:
+    return ((b | guard) - a) & guard == guard
 
 
-def poly_reduce(p: Poly2, basis) -> Poly2:
-    """Full normal form of p modulo the basis (multi-divisor division)."""
-    return _reduce(p, _leads(basis))
+def _product(xs, ys) -> set:
+    """Packed terms of the product of two packed polynomials."""
+    acc = set()
+    for a in xs:
+        for b in ys:
+            m = a + b
+            if m in acc:
+                acc.discard(m)
+            else:
+                acc.add(m)
+    return acc
 
 
-def _reduce(p: Poly2, lts) -> Poly2:
-    """Normal form of p modulo the divisors given as (leading term, terms).
+def _reduce(terms, divisors, guard) -> list:
+    """Packed terms of the normal form of the packed terms modulo the
+    divisors, given as (leading term, tail) pairs; leading term first.
 
     The first divisor in list order whose leading term divides wins.  The
-    terms still to be reduced are a set with a heap of their keys beside
-    it.  A term's key is pushed when it enters the set; an entry whose term
+    terms still to be reduced are a set with a heap of their negated ints
+    beside it.  A term is pushed when it enters the set; an entry whose term
     has since cancelled is skipped when it reaches the top.  A reduction step
     only adds terms below the one it removes, so a removed term never returns.
     """
-    rest = set(p.terms)
-    heap = [(_heap_key(t), t) for t in rest]
+    rest = set(terms)
+    heap = [-m for m in rest]
     heapq.heapify(heap)
-    out = set()
+    out = []
     while heap:
-        lt = heapq.heappop(heap)[1]
+        lt = -heapq.heappop(heap)
         if lt not in rest:
             continue
-        for glt, gterms in lts:
-            if divides(glt, lt):
-                shift = tuple(map(operator.sub, lt, glt))
-                for t in gterms:
-                    m = tuple(map(operator.add, shift, t))
+        rest.discard(lt)
+        probe = lt | guard
+        for glt, tail in divisors:
+            if (probe - glt) & guard == guard:
+                shift = lt - glt
+                for t in tail:
+                    m = shift + t
                     if m in rest:
                         rest.discard(m)
                     else:
                         rest.add(m)
-                        heapq.heappush(heap, (_heap_key(m), m))
+                        heapq.heappush(heap, -m)
                 break
         else:
-            rest.discard(lt)
-            out.add(lt)
-    return Poly2(p.vars, out)
+            out.append(lt)
+    return out
 
 
-def s_poly(f: Poly2, g: Poly2) -> Poly2:
-    lf, lg = f.leading_term(), g.leading_term()
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    sg = tuple(a - b for a, b in zip(lcm, lg))
-    mf = Poly2(f.vars, (sf,))
-    mg = Poly2(g.vars, (sg,))
-    return mf * f + mg * g
+class Basis(tuple):
+    """Polynomials to divide by, and their terms packed for the reducer.
+
+    `buchberger` returns one that keeps the packing it computed in, so the
+    cached basis of an ideal is packed once for all its queries.
+    """
+
+    def __new__(cls, polys=(), packed=None):
+        self = super().__new__(cls, polys)
+        self._packed = packed
+        return self
+
+    def divisors(self, n, degree):
+        """(packing, divisors as (leading term, tail)) whose fields hold every
+        degree up to `degree`; packed again, wider, only when they do not."""
+        if self._packed is None or self._packed[0].n != n or degree > self._packed[0].capacity:
+            pk = Packing(n, max([degree] + [g.total_degree() for g in self]))
+            terms = [pk.poly(g) for g in self]
+            self._packed = pk, [(t[0], tuple(t[1:])) for t in terms]
+        return self._packed
 
 
-def buchberger(gens, cap=None) -> tuple:
+def poly_reduce(p: Poly2, basis) -> Poly2:
+    """Full normal form of p modulo the basis (multi-divisor division)."""
+    if not isinstance(basis, Basis):
+        basis = Basis(basis)
+    pk, divisors = basis.divisors(len(p.vars), p.total_degree())
+    return Poly2(p.vars, map(pk.unpack, _reduce(map(pk.pack, p.terms), divisors, pk.guard)))
+
+
+def s_poly(f, g, lcm) -> set:
+    """S-polynomial of two packed polynomials given as (leading term, tail),
+    whose leading terms have the packed lcm `lcm`: the leading terms cancel,
+    so it is the two shifted tails."""
+    sf, sg = lcm - f[0], lcm - g[0]
+    terms = {sf + t for t in f[1]}
+    terms.symmetric_difference_update([sg + t for t in g[1]])
+    return terms
+
+
+def buchberger(gens, cap=None) -> Basis:
     """Reduced Groebner basis of the given polynomials, canonically sorted.
 
     Pair management follows Gebauer-Moller: a new element retires old pairs
@@ -159,81 +269,80 @@ def buchberger(gens, cap=None) -> tuple:
     lcms (preferring coprime representatives, which the product criterion
     then deletes), and elements whose lead the new lead divides stop forming
     pairs.  The pruned pairs all have S-polynomials that reduce to zero, so
-    the final interreduction still yields the unique reduced basis.
+    the final interreduction still yields the unique reduced basis.  Pairs
+    wait in a heap ordered by (lcm, i, j); a retired pair stays there and is
+    skipped when popped.
+
+    Monomials are packed (see `Packing`).  A basis element has degree at
+    most max(input degree, cap), so an lcm, and every term of an
+    S-polynomial and its reduction, has at most twice that; the packing is
+    sized by it.
     """
     if cap is None:
         cap = degree_cap()
     seed = [g for g in gens if not g.is_zero()]
     if not seed:
-        return ()
-    basis = []      # append-only store
-    lead = []       # leading term per index
+        return Basis()
+    vars = seed[0].vars
+    pk = Packing(len(vars), 2 * max([cap] + [g.total_degree() for g in seed]))
+    guard = pk.guard
+    basis = []      # append-only store of (leading term, tail)
     alive = []      # indices still forming pairs and reducing
-    pairs = set()   # surviving candidate pairs (i, j) with i < j
+    pairs = {}      # surviving candidate pairs (i, j), i < j -> lcm of their leads
+    queue = []      # heap of (lcm, i, j) over pairs, retired ones included
 
-    def lcm(i, j):
-        return tuple(max(a, b) for a, b in zip(lead[i], lead[j]))
-
-    def coprime(i, j):
-        return all(min(a, b) == 0 for a, b in zip(lead[i], lead[j]))
-
-    def add(h):
+    def add(terms):
         t = len(basis)
-        basis.append(h)
-        lead.append(h.leading_term())
+        lt = terms[0]
+        basis.append((lt, tuple(terms[1:])))
         # old pairs strictly covered by the new lead are redundant
-        pairs.difference_update([
-            (i, j) for (i, j) in pairs
-            if divides(lead[t], lcm(i, j))
-            and lcm(i, t) != lcm(i, j) and lcm(j, t) != lcm(i, j)
-        ])
-        # keep only minimal candidate lcms; coprime ones win ties so the
-        # product criterion can delete the whole equal-lcm group
-        cand = {g: lcm(g, t) for g in alive}
+        for (i, j), l in list(pairs.items()):
+            if (_divides(lt, l, guard) and pk.lcm(basis[i][0], lt) != l
+                    and pk.lcm(basis[j][0], lt) != l):
+                del pairs[i, j]
+        # keep only minimal candidate lcms; coprime ones (lcm = product) win
+        # ties so the product criterion can delete the whole equal-lcm group
+        cand = {g: pk.lcm(basis[g][0], lt) for g in alive}
+        coprime = {g: cand[g] == basis[g][0] + lt for g in alive}
         kept = []
-        order = sorted(cand, key=lambda g: (grevlex_key(cand[g]), not coprime(g, t), g))
-        for g in order:
-            if not any(divides(cand[k], cand[g]) for k in kept):
+        for g in sorted(alive, key=lambda g: (cand[g], not coprime[g], g)):
+            if not any(_divides(cand[k], cand[g], guard) for k in kept):
                 kept.append(g)
-        pairs.update((g, t) for g in kept if not coprime(g, t))
-        alive[:] = [g for g in alive if not divides(lead[t], lead[g])]
+        for g in kept:
+            if not coprime[g]:
+                pairs[g, t] = cand[g]
+                heapq.heappush(queue, (cand[g], g, t))
+        alive[:] = [g for g in alive if not _divides(lt, basis[g][0], guard)]
         alive.append(t)
 
-    def divisors(indices):
-        return [(lead[a], basis[a].terms) for a in indices]
-
     for g in seed:
-        r = _reduce(g, divisors(alive))
-        if not r.is_zero():
+        r = _reduce(map(pk.pack, g.terms), [basis[a] for a in alive], guard)
+        if r:
             add(r)
-    while pairs:
-        i, j = min(pairs, key=lambda p: (grevlex_key(lcm(*p)), p))
-        pairs.discard((i, j))
-        r = _reduce(s_poly(basis[i], basis[j]), divisors(alive))
-        if r.is_zero():
+    while queue:
+        lcm, i, j = heapq.heappop(queue)
+        if pairs.pop((i, j), None) is None:
             continue
-        if r.total_degree() > cap:
+        r = _reduce(s_poly(basis[i], basis[j], lcm), [basis[a] for a in alive], guard)
+        if not r:
+            continue
+        if pk.degree(r[0]) > cap:
             raise GroebnerDegreeCap(
-                f"basis element of degree {r.total_degree()} exceeds "
+                f"basis element of degree {pk.degree(r[0])} exceeds "
                 f"CONCORDIA_GB_MAXDEG={cap}"
             )
         add(r)
-    # minimalize: drop elements whose leading term another one divides
-    final = sorted(alive, key=lambda a: grevlex_key(lead[a]))
-    minimal = []
-    for a in final:
-        if not any(divides(lead[b], lead[a]) for b in minimal):
-            minimal.append(a)
-    # tail-reduce to the unique reduced basis; no other lead divides a
-    # minimal element's lead, so reduction keeps it
-    lts = divisors(minimal)
-    reduced = []
-    for idx, a in enumerate(minimal):
-        g = _reduce(basis[a], lts[:idx] + lts[idx + 1:])
-        if not g.is_zero():
-            reduced.append((lead[a], g))
-    reduced.sort(key=lambda lg: (grevlex_key(lg[0]), sorted(lg[1].terms)))
-    return tuple(g for _, g in reduced)
+    # Every element was reduced by the alive ones when it was added, and
+    # adding it retired those whose lead its own divides, so no alive lead
+    # divides another: the alive elements form a minimal basis.  Sorted by
+    # lead they are in canonical order, and tail reduction keeps each lead.
+    minimal = [basis[a] for a in sorted(alive, key=lambda a: basis[a][0])]
+    reduced = [
+        _reduce((lead,) + tail, minimal[:idx] + minimal[idx + 1:], guard)
+        for idx, (lead, tail) in enumerate(minimal)
+    ]
+    return Basis((Poly2(vars, map(pk.unpack, terms)) for terms in reduced),
+                 (pk, [(terms[0], tuple(terms[1:])) for terms in reduced]))
 
 
 # The most recently used bases, least recent first.  A report reads one basis
@@ -417,19 +526,23 @@ def g_region(ideal: FractionalIdeal, g_max: int, d_max: int) -> set:
         raise UsageError("g-region bounds must be nonnegative")
     ring = ideal.ring
     prod_all, cleared = ideal._cleared()
-    lts = _leads(groebner_for(ring, cleared))
-    p = saturation_poly(P(ring))
-    v = saturation_poly(V() if ring is Ring.FULL else L())
+    basis = groebner_for(ring, cleared)
+    v_elt = V() if ring is Ring.FULL else L()
+    p, v, start = (saturation_poly(x) for x in (P(ring), v_elt, prod_all))
+    # a cell's normal form has at most the degree of the product it reduces
+    reach = start.total_degree() + g_max * p.total_degree() + d_max * v.total_degree()
+    pk, divisors = basis.divisors(len(p.vars), reach)
+    p, v = pk.poly(p), pk.poly(v)
     out = set()
-    row = _reduce(saturation_poly(prod_all), lts)
+    row = _reduce(pk.poly(start), divisors, pk.guard)
     for g in range(g_max + 1):
         if g:
-            row = _reduce(p * row, lts)
+            row = _reduce(_product(p, row), divisors, pk.guard)
         cell = row
         for d in range(d_max + 1):
             if d:
-                cell = _reduce(v * cell, lts)
-            if cell.is_zero():
+                cell = _reduce(_product(v, cell), divisors, pk.guard)
+            if not cell:
                 out.add((g, d))
     return out
 

@@ -336,19 +336,19 @@ def znat_bn(model: KnotModel) -> FractionalIdeal:
     # K-to-unknot: phi applied to the kernel generator of the out-column
     d = model.cycle.degree
     c = model.complex
-    if c.rank(d - 1) and not is_zero(c.map_into(d)):
+    if not is_zero(c.maps.get(d, ())):
         raise UnsupportedPresentation(
             "functional models with incoming differentials need a valuation context"
         )
-    out = c.map_into(d + 1)
     if c.rank(d) == 2 and c.rank(d + 1) == 1:
+        out = c.map_into(d + 1)
         a, b = out[0][0], out[1][0]
         h = laurent_gcd(a, b)
         gen = (
             LaurentFraction(b, h).as_laurent(),
             LaurentFraction(a, h).as_laurent(),
         )
-    elif c.rank(d) == 1 and (c.rank(d + 1) == 0 or is_zero(out)):
+    elif c.rank(d) == 1 and is_zero(c.maps.get(d + 1, ())):
         gen = (LaurentElement.one(ring),)
     else:
         raise UnsupportedPresentation(
@@ -742,13 +742,11 @@ def as_forward(model: KnotModel) -> KnotModel:
     ring = model.ring
     d = model.cycle.degree
     c = model.complex
-    out = c.map_into(d + 1)
-    if c.rank(d) != 2 or c.rank(d + 1) != 1 or (
-        c.rank(d - 1) and not is_zero(c.map_into(d))
-    ):
+    if c.rank(d) != 2 or c.rank(d + 1) != 1 or not is_zero(c.maps.get(d, ())):
         raise DirectionMismatch(
             "cannot convert this functional model to the unknot-to-K direction"
         )
+    out = c.map_into(d + 1)
     a, b = out[0][0], out[1][0]
     h = laurent_gcd(a, b)
     tau = (LaurentFraction(b, h).as_laurent(), LaurentFraction(a, h).as_laurent())

@@ -3,13 +3,15 @@
 import io
 import json
 import sys
+import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia import catalog
+from concordia import catalog, ideals
 from concordia.basechange import BUILTIN_NAMES
 from concordia.cli import main
 from concordia.errors import ConcordiaError
@@ -99,6 +101,26 @@ def test_g_region_grid(capsys):
     assert rows[2].endswith("# #")
 
 
+def test_degree_cap_that_is_not_an_integer_exits_2(capsys, monkeypatch, empty_cache):
+    monkeypatch.setenv("CONCORDIA_GB_MAXDEG", "abc")
+    code, out, err = run(capsys, "g-region", "--ring", "BN",
+                         "--ideal", "L,P", "--gmax", "1", "--dmax", "1")
+    assert code == 2 and out == ""
+    assert err == "UsageError: CONCORDIA_GB_MAXDEG must be an integer, got 'abc'\n"
+
+
+def test_huge_degree_cap_gives_the_default_grid(capsys, monkeypatch, empty_cache):
+    # the packed field width follows the cap, so a huge cap packs wide fields
+    argv = ("g-region", "--ring", "BN", "--ideal", "L^3, L^2*P, L*P^2, P^3, P^2 + T1^-2*P^2 + L^2",
+            "--gmax", "4", "--dmax", "4")
+    monkeypatch.delenv("CONCORDIA_GB_MAXDEG", raising=False)
+    default = run(capsys, *argv)
+    monkeypatch.setenv("CONCORDIA_GB_MAXDEG", "1000000")
+    ideals._GB_CACHE.clear()
+    assert run(capsys, *argv) == default
+    assert default[0] == 0 and default[1].count("#") == 19
+
+
 def test_unknotting_bound_output(capsys):
     code, out, _ = run(capsys, "unknotting-bound", "--knot", "trefoil_left",
                        "--example", "B", "--r", "1/2")
@@ -184,6 +206,28 @@ def test_malformed_model_json_exits_2(capsys, monkeypatch, doc):
     code, out, err = run(capsys, "invariants", "--stdin", "--example", "B", "--r", "1/2")
     assert code == 2 and out == ""
     assert err.startswith("UsageError: malformed complex JSON")
+
+
+def test_an_absent_differential_allocates_no_square_matrix(capsys, monkeypatch):
+    # rank 2000 in degree 1 and no boundaries: a dense 2000 x 2000 identity
+    # took seconds and over a hundred megabytes
+    doc = {"ring": "BN", "ranks": {"0": 1, "1": 2000},
+           "cycle": {"degree": 0, "vector": ["1"], "genus": 0, "dplus": 0,
+                     "direction": UNKNOT_TO_K}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, _ = run(capsys, "invariants", "--stdin", "--example", "B", "--r", "1/2")
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "  degree 1: free rank 2000, torsion ords: -\n" in out
+    assert "f_r = 0\n" in out
+    assert seconds < 1.0
+    assert peak < 10 * 2 ** 20
 
 
 def test_empty_knot_name_is_an_unknown_knot(capsys):

@@ -1,7 +1,5 @@
 """The g-region walk against per-cell membership, and how many bases it builds."""
 
-from collections import OrderedDict
-
 import pytest
 
 from concordia import catalog, ideals
@@ -26,13 +24,6 @@ def _counted(monkeypatch, name):
 
     monkeypatch.setattr(ideals, name, counting)
     return calls
-
-
-@pytest.fixture
-def empty_cache(monkeypatch):
-    cache = OrderedDict()
-    monkeypatch.setattr(ideals, "_GB_CACHE", cache)
-    return cache
 
 
 CASES = {

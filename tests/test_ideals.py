@@ -15,6 +15,7 @@ from concordia.errors import (
 from concordia.field2 import Poly2
 from concordia.ideals import (
     FractionalIdeal,
+    Packing,
     buchberger,
     degree_cap,
     g_region,
@@ -73,8 +74,12 @@ def test_poly_reduce_oracles():
 
 
 def test_s_poly_oracle():
-    f, g = xy("x^2 + y"), xy("x*y + x")
-    assert s_poly(f, g) == xy("x^2 + y^2")
+    pk = Packing(2, 6)
+    f, g = (pk.poly(xy(text)) for text in ("x^2 + y", "x*y + x"))
+    lcm = pk.lcm(f[0], g[0])
+    assert pk.unpack(lcm) == (2, 1)
+    s = s_poly((f[0], f[1:]), (g[0], g[1:]), lcm)
+    assert Poly2(XY, map(pk.unpack, s)) == xy("x^2 + y^2")
 
 
 def test_buchberger_is_deterministic_under_shuffles():
