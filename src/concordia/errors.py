@@ -28,6 +28,10 @@ class ZeroElement(ConcordiaError):
     """ord/leading form requested for the zero element."""
 
 
+class DegreeOverflow(ConcordiaError, ValueError):
+    """A monomial's total degree is past what its packed fields hold."""
+
+
 # -- valuation --------------------------------------------------------------
 
 class ValueGroupMismatch(ConcordiaError):

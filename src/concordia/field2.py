@@ -1,10 +1,17 @@
 """Sparse multivariate polynomial arithmetic over the two-element field.
 
 A polynomial over F2 is a finite set of monomials: since every coefficient
-is 1, we store only the support.  A monomial is an exponent tuple aligned
-with a fixed tuple of variable names carried by each polynomial.  Addition
-is symmetric difference of supports; the Frobenius identity (a+b)^2 =
-a^2 + b^2 holds on the nose and squaring just doubles exponent vectors.
+is 1, we store only the support.  Inside the package a monomial is one
+Python int (`Packing`): the high fields hold the total degree and the
+prefix sums of the exponents, so int order is grevlex order, and the low
+fields hold the exponents under guard bits, so a product is an int sum and
+divisibility is one masked subtraction.  Every Poly2 packs its monomials in
+fields of FIELD_BITS bits, so it holds total degrees up to MAX_DEGREE; a
+product or square past that raises DegreeOverflow.  Exponent tuples, aligned
+with the variable names each polynomial carries, are the API edge: the
+validating constructor takes them and `Poly2.terms` gives them back.
+Addition is symmetric difference of supports; the Frobenius identity
+(a+b)^2 = a^2 + b^2 holds on the nose and squaring doubles every field.
 
 Rational functions are reduced fractions of such polynomials.  Because the
 only unit of F2[x1..xn] is 1, a gcd-reduced numerator/denominator pair is a
@@ -16,8 +23,9 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import reduce
 
-from .errors import DivisionByZero, RingMismatch, UsageError
+from .errors import DegreeOverflow, DivisionByZero, RingMismatch, UsageError
 
 Term = tuple  # exponent tuple, aligned with Poly2.vars
 
@@ -25,6 +33,11 @@ Term = tuple  # exponent tuple, aligned with Poly2.vars
 def grevlex_key(exps):
     """Sort key realising graded reverse lexicographic order (bigger = later)."""
     return (sum(exps),) + tuple(-e for e in reversed(exps))
+
+
+def divides(a, b):
+    """Monomial divisibility: does exponent tuple a divide b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def term_product(xs, ys):
@@ -41,29 +54,168 @@ def term_product(xs, ys):
     return acc
 
 
-class Poly2:
-    """Polynomial over F2 with a fixed variable tuple."""
+# -- packed monomials ------------------------------------------------------------
 
-    __slots__ = ("vars", "terms")
+class Packing:
+    """Monomials in n variables packed into ints, for total degrees up to
+    `capacity`.
+
+    Every field is w + 1 bits wide, where 2^w exceeds the degree bound given.
+    The low n fields hold the exponents e_1, ..., e_n (e_1 lowest), each
+    under a guard bit that stays 0.  The high n fields hold s_1, ..., s_n,
+    where s_k = e_1 + ... + e_k, so the top field is the total degree.  An
+    int comparison reads (deg, s_{n-1}, ..., s_1) first, which is graded
+    reverse lexicographic order, so a polynomial's leading term is its
+    largest int.  The product of two monomials is the sum of their ints, and
+    a divides b iff ((b | G) - a) & G == G for the mask G of the guard bits:
+    a field of a bigger than b's borrows from its guard bit.  No field may
+    exceed the capacity, or it would carry into its neighbour; every field
+    is at most the total degree, so bounding the degree bounds them all.
+    """
+
+    def __init__(self, n, degree):
+        w = max(degree, 1).bit_length()
+        self.n = n
+        self.w = w
+        self.capacity = (1 << w) - 1
+        self.shifts = tuple(k * (w + 1) for k in range(n))
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guard = self.ones << w
+        self.half = n * (w + 1)
+        self.low = (1 << self.half) - 1
+        self.top = self.half + self.shifts[-1]
+        # units[i] is the packed monomial of variable i alone
+        self.units = tuple(self._with_sums(1 << s) for s in self.shifts)
+
+    def _with_sums(self, low):
+        # times ones, field k collects e_1 + ... + e_k; no sum exceeds the
+        # degree, so nothing carries
+        return (low * self.ones & self.low) << self.half | low
+
+    def pack(self, t) -> int:
+        if sum(t) > self.capacity:
+            raise DegreeOverflow(
+                f"monomial {t} has degree {sum(t)}, past the packed limit {self.capacity}")
+        low = 0
+        for e, s in zip(t, self.shifts):
+            low |= e << s
+        return self._with_sums(low)
+
+    def unpack(self, m) -> tuple:
+        return tuple((m >> s) & self.capacity for s in self.shifts)
+
+    def degree(self, m) -> int:
+        return m >> self.top
+
+    def _a_at_least_b(self, a, b) -> int:
+        """All ones on the exponent fields where a's is at least b's."""
+        # such a field keeps its guard bit; spread each kept guard bit over
+        # its field
+        return ((((a | self.guard) - b) & self.guard) >> self.w) * self.capacity
+
+    def lcm(self, a, b) -> int:
+        a &= self.low
+        b &= self.low
+        mask = self._a_at_least_b(a, b)
+        return self._with_sums((a & mask) | (b & ~mask))
+
+    def gcd(self, a, b) -> int:
+        a &= self.low
+        b &= self.low
+        mask = self._a_at_least_b(a, b)
+        return self._with_sums((b & mask) | (a & ~mask))
+
+    def poly(self, p) -> list:
+        """The packed terms of p, leading term first."""
+        if p.pk.w == self.w:
+            return sorted(p.mons, reverse=True)
+        return sorted(map(self.pack, p.terms), reverse=True)
+
+
+def packed_divides(a, b, guard) -> bool:
+    return ((b | guard) - a) & guard == guard
+
+
+def packed_product(xs, ys) -> set:
+    """Packed terms of the product of two packed polynomials."""
+    acc = set()
+    for a in xs:
+        for b in ys:
+            m = a + b
+            if m in acc:
+                acc.discard(m)
+            else:
+                acc.add(m)
+    return acc
+
+
+# Bits per field of a Poly2 monomial, its guard bit included.
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_PACKINGS = {}
+
+
+def packing(n) -> Packing:
+    """The packing of every Poly2 in n variables."""
+    pk = _PACKINGS.get(n)
+    if pk is None:
+        pk = _PACKINGS[n] = Packing(n, MAX_DEGREE)
+    return pk
+
+
+def _overflow(degree):
+    return DegreeOverflow(
+        f"a product of degree {degree} is past the packed limit {MAX_DEGREE} (MAX_DEGREE)")
+
+
+_ONE = frozenset((0,))
+
+
+class Poly2:
+    """Polynomial over F2 with a fixed variable tuple.
+
+    `mons` is the frozenset of packed monomials in `pk = packing(len(vars))`.
+    """
+
+    __slots__ = ("vars", "pk", "mons")
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
         n = len(self.vars)
-        ts = frozenset(tuple(t) for t in terms)
-        for t in ts:
+        self.pk = pk = packing(n)
+        mons = set()
+        for t in terms:
+            t = tuple(t)
             if len(t) != n or any(e < 0 for e in t):
                 raise ValueError(f"bad exponent tuple {t} for vars {self.vars}")
-        self.terms = ts
+            mons.add(pk.pack(t))
+        self.mons = frozenset(mons)
+
+    @classmethod
+    def _make(cls, vars, pk, mons):
+        """Internal: wrap packed monomials of `pk` without checking them."""
+        self = object.__new__(cls)
+        self.vars = vars
+        self.pk = pk
+        self.mons = frozenset(mons)
+        return self
+
+    @property
+    def terms(self):
+        """The exponent tuples of the support."""
+        return frozenset(map(self.pk.unpack, self.mons))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, vars):
-        return cls(vars, ())
+        vars = tuple(vars)
+        return cls._make(vars, packing(len(vars)), ())
 
     @classmethod
     def one(cls, vars):
-        return cls(vars, ((0,) * len(vars),))
+        vars = tuple(vars)
+        return cls._make(vars, packing(len(vars)), _ONE)
 
     @classmethod
     def var(cls, vars, name, power=1):
@@ -110,13 +262,13 @@ class Poly2:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.mons
 
     def is_one(self):
-        return self.terms == {(0,) * len(self.vars)}
+        return self.mons == _ONE
 
     def total_degree(self):
-        return max((sum(t) for t in self.terms), default=0)
+        return max(self.mons) >> self.pk.top if self.mons else 0
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -128,16 +280,25 @@ class Poly2:
 
     def __add__(self, other):
         self._check(other)
-        return Poly2(self.vars, self.terms ^ other.terms)
+        return Poly2._make(self.vars, self.pk, self.mons ^ other.mons)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other):
         self._check(other)
-        return Poly2(self.vars, term_product(self.terms, other.terms))
+        a, b = self.mons, other.mons
+        if a and b:
+            # the product of the leading terms leads the product
+            degree = (max(a) + max(b)) >> self.pk.top
+            if degree > MAX_DEGREE:
+                raise _overflow(degree)
+        return Poly2._make(self.vars, self.pk, packed_product(a, b))
 
     def square(self):
-        return Poly2(self.vars, (tuple(2 * e for e in t) for t in self.terms))
+        degree = 2 * self.total_degree()
+        if degree > MAX_DEGREE:
+            raise _overflow(degree)
+        return Poly2._make(self.vars, self.pk, [m << 1 for m in self.mons])
 
     def __pow__(self, n):
         if n < 0:
@@ -153,27 +314,27 @@ class Poly2:
         return result
 
     def __eq__(self, other):
-        return isinstance(other, Poly2) and self.vars == other.vars and self.terms == other.terms
+        return isinstance(other, Poly2) and self.vars == other.vars and self.mons == other.mons
 
     def __hash__(self):
-        return hash((self.vars, self.terms))
+        return hash((self.vars, self.mons))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.mons)
 
     # -- leading data / division ---------------------------------------------
 
     def leading_term(self):
-        """Leading monomial under grevlex; raises on zero."""
-        if not self.terms:
+        """Leading monomial under grevlex, as an exponent tuple; raises on zero."""
+        if not self.mons:
             raise DivisionByZero("leading term of the zero polynomial")
-        return max(self.terms, key=grevlex_key)
+        return self.pk.unpack(max(self.mons))
 
     def sorted_terms(self):
-        return sorted(self.terms, key=grevlex_key, reverse=True)
+        return [self.pk.unpack(m) for m in sorted(self.mons, reverse=True)]
 
     def __str__(self):
-        if not self.terms:
+        if not self.mons:
             return "0"
         parts = []
         for t in self.sorted_terms():
@@ -188,11 +349,6 @@ class Poly2:
     __repr__ = __str__
 
 
-def divides(a, b):
-    """Monomial divisibility: does exponent tuple a divide b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def poly_div(num, den):
     """Exact division num/den, or None when den does not divide num.
 
@@ -204,43 +360,44 @@ def poly_div(num, den):
     if den.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if num.is_zero():
-        return Poly2.zero(num.vars)
-    lt_d = den.leading_term()
-    rest = set(num.terms)
-    quot = set()
+        return num
+    guard = num.pk.guard
+    terms = den.mons
+    lt_d = max(terms)
+    rest = set(num.mons)
+    quot = []
     while rest:
-        lt = max(rest, key=grevlex_key)
-        if not divides(lt_d, lt):
+        lt = max(rest)
+        if not packed_divides(lt_d, lt, guard):
             return None
-        shift = tuple(x - y for x, y in zip(lt, lt_d))
-        quot ^= {shift}
-        for t in den.terms:
-            m = tuple(x + y for x, y in zip(shift, t))
+        shift = lt - lt_d
+        quot.append(shift)
+        for t in terms:
+            m = shift + t
             if m in rest:
                 rest.discard(m)
             else:
                 rest.add(m)
-    return Poly2(num.vars, quot)
+    return Poly2._make(num.vars, num.pk, quot)
 
 
 # -- gcd via subresultant remainder sequences ----------------------------------
 
 def _to_univar(p, vi):
     """Split p as a univariate in variable index vi with Poly2 coefficients."""
+    pk = p.pk
+    s, cap, unit = pk.shifts[vi], pk.capacity, pk.units[vi]
     coeffs = {}
-    for t in p.terms:
-        d = t[vi]
-        base = t[:vi] + (0,) + t[vi + 1:]
-        coeffs.setdefault(d, set()).symmetric_difference_update({base})
-    return {d: Poly2(p.vars, ts) for d, ts in coeffs.items() if ts}
+    for m in p.mons:
+        d = (m >> s) & cap
+        coeffs.setdefault(d, []).append(m - d * unit)
+    return {d: Poly2._make(p.vars, pk, ms) for d, ms in coeffs.items()}
 
 
 def _from_univar(coeffs, vars, vi):
-    terms = set()
-    for d, c in coeffs.items():
-        for t in c.terms:
-            terms.add(t[:vi] + (d,) + t[vi + 1:])
-    return Poly2(vars, terms)
+    pk = packing(len(vars))
+    unit = pk.units[vi]
+    return Poly2._make(vars, pk, [m + d * unit for d, c in coeffs.items() for m in c.mons])
 
 
 def _uni_add(a, b):
@@ -287,7 +444,7 @@ def _prem(a, b):
 def _content(coeffs):
     # smallest coefficients first: the chain usually hits 1 immediately
     g = None
-    for c in sorted(coeffs.values(), key=lambda c: (len(c.terms), c.total_degree())):
+    for c in sorted(coeffs.values(), key=lambda c: (len(c.mons), c.total_degree())):
         g = c if g is None else gcd(g, c)
         if g.is_one():
             break
@@ -310,26 +467,21 @@ def gcd(a, b):
         return Poly2.one(a.vars)
     if a == b:
         return a
-    if len(a.terms) == 1 or len(b.terms) == 1:
+    if len(a.mons) == 1 or len(b.mons) == 1:
         # against a monomial only the common monomial part survives
-        mins = tuple(
-            min(min(t[i] for t in a.terms), min(t[i] for t in b.terms))
-            for i in range(len(a.vars))
-        )
-        return Poly2(a.vars, frozenset({mins}))
+        return Poly2._make(a.vars, a.pk, (reduce(a.pk.gcd, a.mons | b.mons),))
     # trial division: when one operand divides the other it is the gcd
     da, db = a.total_degree(), b.total_degree()
     if db <= da and poly_div(a, b) is not None:
         return b
     if da <= db and poly_div(b, a) is not None:
         return a
+    pk = a.pk
+    both = a.mons | b.mons
     vi = None
     best = None
-    for i in range(len(a.vars)):
-        d = max(
-            max((t[i] for t in a.terms), default=0),
-            max((t[i] for t in b.terms), default=0),
-        )
+    for i, s in enumerate(pk.shifts):
+        d = max((m >> s) & pk.capacity for m in both)
         if d and (best is None or d < best):
             vi, best = i, d
     if vi is None:
@@ -483,10 +635,10 @@ class RationalFunction:
         if self.den.is_one():
             return str(self.num)
         n = str(self.num)
-        if len(self.num.terms) > 1:
+        if len(self.num.mons) > 1:
             n = f"({n})"
         d = str(self.den)
-        if len(self.den.terms) > 1:
+        if len(self.den.mons) > 1:
             d = f"({d})"
         return f"{n}/{d}"
 

@@ -10,30 +10,35 @@ before the U-variables, and reduce.
 
 The reduced Groebner basis is unique for a given monomial order, which makes
 ideal computations deterministic regardless of generator order; the four
-most recently used bases are cached per generator set.  Inside the engine a
-monomial is one Python int (`Packing`): the high fields hold the total
-degree and the prefix sums of the exponents, so int order is grevlex order,
-and the low fields hold the exponents under guard bits, so a product is an
-int sum and divisibility is one masked subtraction.  The field width comes
-from the largest degree a call can reach: twice the larger of the input
-degree and the degree cap in Buchberger, and the degree of the box's
-largest product in a g-region; a query of higher degree packs the basis
-again, wider.  Poly2 stays at the API edge: `buchberger` returns the
-canonically sorted Poly2 elements, and the basis keeps its packed divisors
-for the queries that reuse it.  Reduction takes each leading term from a
-heap, and Buchberger takes each pair from a heap ordered by (lcm, i, j),
-skipping pairs the Gebauer-Moller criteria retired after they were queued.
-A g-region computes one basis for its whole box and makes one short
-reduction per cell, walking normal forms from cell to cell; every
-membership query on an ideal reads the basis of its cleared generators.
-The environment variable CONCORDIA_GB_MAXDEG caps the degree of any new
-basis element so a pathological input aborts with a diagnostic instead of
-running unbounded; a value that is not an integer is a UsageError.
+most recently used bases are cached per generator set.  The engine works on
+packed monomials (`field2.Packing`, which lives in field2 as the package's
+one monomial encoding and is re-exported here): one Python int per monomial,
+whose int order is grevlex order, so a product is an int sum and
+divisibility is one masked subtraction.  It reads Poly2's packed ints as
+they are, in Poly2's fields, whenever those hold the largest degree a call
+can reach: twice the larger of the input degree and the degree cap in
+Buchberger, and the degree of the box's largest product in a g-region.  Only
+a call that reaches further packs its terms again, in wider fields.
+`buchberger` returns the canonically sorted Poly2 elements, and the basis
+keeps its packed divisors for the queries that reuse it.  Reduction takes
+each leading term from a heap, and Buchberger takes each pair from a heap
+ordered by (lcm, i, j), skipping pairs the Gebauer-Moller criteria retired
+after they were queued.  A g-region computes one basis for its whole box
+and makes one short reduction per cell, walking normal forms from cell to
+cell; a principal ideal needs no basis, and each of its cells, like each
+principal membership query, is one exact division.  Every other membership
+query on an ideal reads the basis of its cleared generators.  A unit does
+not change membership, so an element is first divided by the monomial gcd of
+its terms.  The environment variable CONCORDIA_GB_MAXDEG caps the degree of
+any new basis element so a pathological input aborts with a diagnostic
+instead of running unbounded; a value that is not an integer is a
+UsageError.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import os
 import re
 from collections import OrderedDict
@@ -46,7 +51,9 @@ from .errors import (
     UsageError,
     ZeroElement,
 )
-from .field2 import Poly2
+from .field2 import MAX_DEGREE, Packing, Poly2, packing
+from .field2 import packed_divides as _divides
+from .field2 import packed_product as _product
 from .laurent import (
     L,
     LaurentElement,
@@ -106,83 +113,18 @@ def saturation_relations(ring: Ring):
 
 # -- Groebner engine ----------------------------------------------------------
 
-class Packing:
-    """Monomials in n variables packed into ints, for total degrees up to
-    `capacity`.
-
-    Every field is w + 1 bits wide, where 2^w exceeds the degree bound given.
-    The low n fields hold the exponents e_1, ..., e_n (e_1 lowest), each
-    under a guard bit that stays 0.  The high n fields hold s_1, ..., s_n,
-    where s_k = e_1 + ... + e_k, so the top field is the total degree.  An
-    int comparison reads (deg, s_{n-1}, ..., s_1) first, which is graded
-    reverse lexicographic order, so a polynomial's leading term is its
-    largest int.  The product of two monomials is the sum of their ints, and
-    a divides b iff ((b | G) - a) & G == G for the mask G of the guard bits:
-    a field of a bigger than b's borrows from its guard bit.  No field may
-    exceed the capacity, or it would carry into its neighbour, so a caller
-    sizes the packing by the largest degree its arithmetic can reach.
-    """
-
-    def __init__(self, n, degree):
-        w = max(degree, 1).bit_length()
-        self.n = n
-        self.w = w
-        self.capacity = (1 << w) - 1
-        self.shifts = tuple(k * (w + 1) for k in range(n))
-        self.ones = sum(1 << s for s in self.shifts)
-        self.guard = self.ones << w
-        self.half = n * (w + 1)
-        self.low = (1 << self.half) - 1
-        self.top = self.half + self.shifts[-1]
-
-    def _with_sums(self, low):
-        # times ones, field k collects e_1 + ... + e_k; no sum exceeds the
-        # degree, so nothing carries
-        return (low * self.ones & self.low) << self.half | low
-
-    def pack(self, t) -> int:
-        if sum(t) > self.capacity:
-            raise ValueError(f"monomial {t} exceeds the packed degree {self.capacity}")
-        low = 0
-        for e, s in zip(t, self.shifts):
-            low |= e << s
-        return self._with_sums(low)
-
-    def unpack(self, m) -> tuple:
-        return tuple((m >> s) & self.capacity for s in self.shifts)
-
-    def degree(self, m) -> int:
-        return m >> self.top
-
-    def lcm(self, a, b) -> int:
-        a &= self.low
-        b &= self.low
-        # a field of a at least b's keeps its guard bit; spread each kept
-        # guard bit over its field to select a's fields there
-        keep = ((a | self.guard) - b) & self.guard
-        mask = (keep >> self.w) * self.capacity
-        return self._with_sums((a & mask) | (b & ~mask))
-
-    def poly(self, p: Poly2) -> list:
-        """The packed terms of p, leading term first."""
-        return sorted(map(self.pack, p.terms), reverse=True)
+def _packing(n, degree) -> Packing:
+    """Poly2's packing when its fields hold `degree`, else one wide enough."""
+    return packing(n) if degree <= MAX_DEGREE else Packing(n, degree)
 
 
-def _divides(a, b, guard) -> bool:
-    return ((b | guard) - a) & guard == guard
-
-
-def _product(xs, ys) -> set:
-    """Packed terms of the product of two packed polynomials."""
-    acc = set()
-    for a in xs:
-        for b in ys:
-            m = a + b
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
-    return acc
+def _poly(vars, pk, terms) -> Poly2:
+    """The Poly2 of terms packed by pk: unpacked and packed again only when
+    pk is wider than Poly2's packing."""
+    own = packing(len(vars))
+    if pk.w == own.w:
+        return Poly2._make(vars, own, terms)
+    return Poly2(vars, map(pk.unpack, terms))
 
 
 def _reduce(terms, divisors, guard) -> list:
@@ -237,7 +179,7 @@ class Basis(tuple):
         """(packing, divisors as (leading term, tail)) whose fields hold every
         degree up to `degree`; packed again, wider, only when they do not."""
         if self._packed is None or self._packed[0].n != n or degree > self._packed[0].capacity:
-            pk = Packing(n, max([degree] + [g.total_degree() for g in self]))
+            pk = _packing(n, max([degree] + [g.total_degree() for g in self]))
             terms = [pk.poly(g) for g in self]
             self._packed = pk, [(t[0], tuple(t[1:])) for t in terms]
         return self._packed
@@ -248,7 +190,7 @@ def poly_reduce(p: Poly2, basis) -> Poly2:
     if not isinstance(basis, Basis):
         basis = Basis(basis)
     pk, divisors = basis.divisors(len(p.vars), p.total_degree())
-    return Poly2(p.vars, map(pk.unpack, _reduce(map(pk.pack, p.terms), divisors, pk.guard)))
+    return _poly(p.vars, pk, _reduce(pk.poly(p), divisors, pk.guard))
 
 
 def s_poly(f, g, lcm) -> set:
@@ -275,8 +217,9 @@ def buchberger(gens, cap=None) -> Basis:
 
     Monomials are packed (see `Packing`).  A basis element has degree at
     most max(input degree, cap), so an lcm, and every term of an
-    S-polynomial and its reduction, has at most twice that; the packing is
-    sized by it.
+    S-polynomial and its reduction, has at most twice that.  Poly2's own
+    packing holds that for any cap up to MAX_DEGREE / 2, so the inputs are
+    read as they are; a larger cap packs them again in wider fields.
     """
     if cap is None:
         cap = degree_cap()
@@ -284,7 +227,7 @@ def buchberger(gens, cap=None) -> Basis:
     if not seed:
         return Basis()
     vars = seed[0].vars
-    pk = Packing(len(vars), 2 * max([cap] + [g.total_degree() for g in seed]))
+    pk = _packing(len(vars), 2 * max([cap] + [g.total_degree() for g in seed]))
     guard = pk.guard
     basis = []      # append-only store of (leading term, tail)
     alive = []      # indices still forming pairs and reducing
@@ -316,7 +259,7 @@ def buchberger(gens, cap=None) -> Basis:
         alive.append(t)
 
     for g in seed:
-        r = _reduce(map(pk.pack, g.terms), [basis[a] for a in alive], guard)
+        r = _reduce(pk.poly(g), [basis[a] for a in alive], guard)
         if r:
             add(r)
     while queue:
@@ -341,7 +284,7 @@ def buchberger(gens, cap=None) -> Basis:
         _reduce((lead,) + tail, minimal[:idx] + minimal[idx + 1:], guard)
         for idx, (lead, tail) in enumerate(minimal)
     ]
-    return Basis((Poly2(vars, map(pk.unpack, terms)) for terms in reduced),
+    return Basis((_poly(vars, pk, terms) for terms in reduced),
                  (pk, [(terms[0], tuple(terms[1:])) for terms in reduced]))
 
 
@@ -355,7 +298,7 @@ _GB_CACHE_SIZE = 4
 def groebner_for(ring: Ring, cleared_gens) -> tuple:
     """Cached reduced basis of <cleared gens> + saturation relations."""
     polys = [saturation_poly(g) for g in cleared_gens if not g.is_zero()]
-    key = (ring, frozenset(p.terms for p in polys))
+    key = (ring, frozenset(p.mons for p in polys))
     hit = _GB_CACHE.get(key)
     if hit is None:
         hit = buchberger(polys + saturation_relations(ring))
@@ -374,6 +317,11 @@ def laurent_member(x: LaurentElement, gens, ring: Ring) -> bool:
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return False
+    # a monomial is a unit: dividing x by the monomial gcd of its terms keeps
+    # membership and leaves the smallest polynomial to saturate
+    low = [min(col) for col in zip(*x.terms)]
+    if any(low):
+        x = LaurentElement(x.ring, (tuple(map(operator.sub, t, low)) for t in x.terms))
     if len(nonzero) == 1:
         # principal case: membership is exact divisibility, decided by one
         # exact division (no gcd)
@@ -515,19 +463,34 @@ def g_region(ideal: FractionalIdeal, g_max: int, d_max: int) -> set:
 
     With D the product of the generator denominators, P^g * V^delta is in
     the ideal iff D * P^g * V^delta is in the Laurent ideal of the cleared
-    generators.  One basis serves the whole box.  The saturated ideal holds
-    every T_i*U_i + 1, so the saturation of a product and the product of the
-    saturations agree modulo it, and the reduced basis gives each class one
-    normal form.  So the walk keeps the normal form of D * P^g down the rows,
-    steps along a row by multiplying by the saturation of V and reducing, and
-    a cell is in the ideal iff its normal form is 0.
+    generators.  One cleared generator decides each cell by one exact
+    division.  Otherwise one basis serves the whole box.  The saturated ideal
+    holds every T_i*U_i + 1, so the saturation of a product and the product
+    of the saturations agree modulo it, and the reduced basis gives each
+    class one normal form.  So the walk keeps the normal form of D * P^g down
+    the rows, steps along a row by multiplying by the saturation of V and
+    reducing, and a cell is in the ideal iff its normal form is 0.
     """
     if g_max < 0 or d_max < 0:
         raise UsageError("g-region bounds must be nonnegative")
     ring = ideal.ring
     prod_all, cleared = ideal._cleared()
-    basis = groebner_for(ring, cleared)
     v_elt = V() if ring is Ring.FULL else L()
+    if len(cleared) == 1:
+        # principal: each cell is one exact division, no basis
+        out = set()
+        row = prod_all
+        for g in range(g_max + 1):
+            if g:
+                row = row * P(ring)
+            cell = row
+            for d in range(d_max + 1):
+                if d:
+                    cell = cell * v_elt
+                if laurent_member(cell, cleared, ring):
+                    out.add((g, d))
+        return out
+    basis = groebner_for(ring, cleared)
     p, v, start = (saturation_poly(x) for x in (P(ring), v_elt, prod_all))
     # a cell's normal form has at most the degree of the product it reduces
     reach = start.total_degree() + g_max * p.total_degree() + d_max * v.total_degree()

@@ -5,16 +5,21 @@ value group is either Q or Q x Q ordered lexicographically with the first
 entry most significant.  Parameter variables (the q's) default to weight
 zero.  ord of a polynomial is the minimum weight over its support, ord of a
 fraction is ord(num) - ord(den), and the leading form collects the terms of
-minimal weight.  Everything is exact: weights and values are Fractions.
+minimal weight.  Everything is exact.  An Order holds Fractions, and so does
+the weight table a MonomialWeight is built from; inside, a MonomialWeight
+keeps integer weights (see its docstring), so an ord is an integer dot
+product over a polynomial's packed exponent fields, and Fractions appear
+only at the edge, in the one Order built for each result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValueGroupMismatch, ZeroElement
-from .field2 import Poly2, RationalFunction
+from .field2 import MAX_DEGREE, Poly2, RationalFunction
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,18 @@ class Order:
 
 
 class MonomialWeight:
-    """Variable-indexed weights generating a monomial valuation."""
+    """Variable-indexed weights generating a monomial valuation.
 
-    __slots__ = ("weights", "kind")
+    The weights are kept as integers: every component is scaled by the LCM
+    of all their denominators, and a lex pair (a, b) folds into the one
+    integer a*K + b, where K exceeds four times any |b| a monomial of degree
+    at most MAX_DEGREE can reach, so integer order is lex order on monomials
+    and a difference of two still decodes to its pair.  A monomial's ord is
+    then an integer dot product over its packed exponent fields; `Fraction`
+    appears only when an Order is built for a result.
+    """
+
+    __slots__ = ("weights", "kind", "_scale", "_fold", "_int", "_columns")
 
     def __init__(self, weights):
         weights = {v: w for v, w in weights.items()}
@@ -113,6 +127,16 @@ class MonomialWeight:
             if not w > zero:
                 raise ValueGroupMismatch(f"series variable {v} needs strictly positive weight")
         self.weights = weights
+        self._scale = math.lcm(*(a.denominator for w in weights.values() for a in w.vec))
+        scaled = {v: [int(a * self._scale) for a in w.vec] for v, w in weights.items()}
+        if self.kind == 1:
+            self._fold = 1
+            self._int = {v: c[0] for v, c in scaled.items()}
+        else:
+            # a difference of two monomials' b-parts stays below K/2
+            self._fold = 4 * MAX_DEGREE * max(abs(c[1]) for c in scaled.values()) + 1
+            self._int = {v: c[0] * self._fold + c[1] for v, c in scaled.items()}
+        self._columns = {}  # vars tuple -> ((field shift, integer weight), ...)
 
     @classmethod
     def rational(cls, table):
@@ -125,29 +149,39 @@ class MonomialWeight:
     def zero(self):
         return Order.zero(self.kind)
 
-    def ord_term(self, vars, exps):
-        total = self.zero()
-        for v, e in zip(vars, exps):
-            if e:
-                w = self.weights.get(v)
-                if w is not None:
-                    total = total + w.scale(e)
-        return total
+    def _order(self, value) -> Order:
+        """The Order of an integer-scaled (and, for lex, folded) value."""
+        if self.kind == 1:
+            return Order((Fraction(value, self._scale),))
+        a = (2 * value + self._fold) // (2 * self._fold)  # nearest integer
+        return Order((Fraction(a, self._scale), Fraction(value - a * self._fold, self._scale)))
 
-    def ord_poly(self, p: Poly2) -> Order:
+    def _ords(self, p: Poly2):
+        """The integer ord of each packed monomial of p, in iteration order."""
+        cols = self._columns.get(p.vars)
+        if cols is None:
+            cols = self._columns[p.vars] = tuple(
+                (p.pk.shifts[i], self._int[v]) for i, v in enumerate(p.vars) if v in self._int)
+        cap = p.pk.capacity
+        return [sum([((m >> s) & cap) * w for s, w in cols]) for m in p.mons]
+
+    def _ord_int(self, p: Poly2) -> int:
         if p.is_zero():
             raise ZeroElement("ord of the zero polynomial")
-        return min(self.ord_term(p.vars, t) for t in p.terms)
+        return min(self._ords(p))
+
+    def ord_poly(self, p: Poly2) -> Order:
+        return self._order(self._ord_int(p))
 
     def leading_form(self, p: Poly2) -> Poly2:
         """Sub-polynomial of minimal-weight terms; nonzero for nonzero input."""
-        lo = self.ord_poly(p)
-        return Poly2(p.vars, (t for t in p.terms if self.ord_term(p.vars, t) == lo))
+        lo = self._ord_int(p)
+        return Poly2._make(p.vars, p.pk, [m for m, o in zip(p.mons, self._ords(p)) if o == lo])
 
     def ord_rf(self, f: RationalFunction) -> Order:
         if f.is_zero():
             raise ZeroElement("ord of the zero rational function")
-        return self.ord_poly(f.num) - self.ord_poly(f.den)
+        return self._order(self._ord_int(f.num) - self._ord_int(f.den))
 
     def leading_form_rf(self, f: RationalFunction) -> RationalFunction:
         if f.is_zero():

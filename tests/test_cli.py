@@ -121,6 +121,34 @@ def test_huge_degree_cap_gives_the_default_grid(capsys, monkeypatch, empty_cache
     assert default[0] == 0 and default[1].count("#") == 19
 
 
+@pytest.mark.parametrize("element, answer", [("T1^1000*P^3*L", "true"),
+                                             ("T1^1000*P^2*L", "false")])
+def test_a_large_unit_monomial_does_not_slow_membership(capsys, empty_cache, element, answer):
+    # a unit does not change membership, so the element is divided by the
+    # monomial gcd of its terms before it is saturated
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "membership", "--ring", "BN", "--ideal", "L^2, P^3",
+                       "--element", element)
+    assert time.perf_counter() - start < 5
+    assert (code, out.strip()) == (0, answer)
+
+
+def test_a_principal_g_region_agrees_with_membership_cell_by_cell(capsys, empty_cache):
+    # a principal ideal is decided by exact division, so no basis degree cap
+    # is met however large the generator
+    code, out, _ = run(capsys, "g-region", "--ring", "BN", "--ideal", "P^40",
+                       "--gmax", "41", "--dmax", "1")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 42
+    for g, row in enumerate(rows):
+        for d, cell in enumerate(row.split()[1:]):
+            member = run(capsys, "membership", "--ring", "BN", "--ideal", "P^40",
+                         "--element", f"P^{g}*L^{d}")
+            assert member == (0, "true\n" if cell == "#" else "false\n", "")
+    assert out.count("#") == 4
+
+
 def test_unknotting_bound_output(capsys):
     code, out, _ = run(capsys, "unknotting-bound", "--knot", "trefoil_left",
                        "--example", "B", "--r", "1/2")
