@@ -13,6 +13,13 @@ Builtins (parameter variables q1..q3 always have weight 0):
     C       T0=T1 -> 1 + y, T2=T3 -> 1 + x;           lex, ord x = (1/4, 0), ord y = (0, 1/4)
     Cprime  T0=T1 -> 1 + y, T2=T3 -> 1;               ord y = 1/4 (degenerate: sigma(P) = 0)
     D       T0=T1 -> 1, T2=T3 -> 1 + x;               ord x = 1/4
+
+apply gives sigma(x) in lowest terms without a general gcd.  The image
+factors (numerators and denominators of the images, other than 1) are known
+in advance: the terms are summed over the least power of each that they
+need, with powers built by squaring, and each factor of that denominator is
+then stripped from the numerator, by exact division when it is known to be
+irreducible.
 """
 
 from __future__ import annotations
@@ -29,13 +36,14 @@ from .errors import (
     UnknownExample,
     UsageError,
 )
-from .field2 import Poly2, RationalFunction
+from .field2 import Poly2, RationalFunction, _to_univar, gcd, poly_div
 from .laurent import LaurentElement, LaurentFraction, P, Ring, V
 from .valuation import MonomialWeight, Order
 
 SERIES_VARS = ("q1", "q2", "q3", "x", "y", "u")
 
 _ONE = Poly2.one(SERIES_VARS)
+_ZERO = Poly2.zero(SERIES_VARS)
 
 
 def series_poly(text: str) -> RationalFunction:
@@ -47,6 +55,19 @@ def _series_one() -> RationalFunction:
     return RationalFunction(_ONE)
 
 
+def _known_irreducible(f: Poly2) -> bool:
+    """f = a*v + b for a variable v, with a and b free of v and gcd(a, b) = 1.
+
+    Such an f has degree 1 in v and content 1 over the other variables, so by
+    Gauss's lemma it is irreducible.  Every builtin image qualifies.
+    """
+    for v in range(len(f.vars)):
+        coeffs = _to_univar(f, v)
+        if max(coeffs) == 1 and gcd(coeffs[1], coeffs.get(0, _ZERO)).is_one():
+            return True
+    return False
+
+
 @dataclass(eq=False)
 class BaseChange:
     """Substitution data for the four marking variables plus a weight.
@@ -56,7 +77,9 @@ class BaseChange:
     (pi, lambda) is kept too.  The memo depends only on the images of
     T0..T3, so a B(r) derived from another B by b_family shares it: across
     a family that varies only r, sigma meets each element once.  A memo
-    lives as long as the base changes holding it, one command.
+    lives as long as the base changes holding it, one command.  The image
+    factors and their irreducibility flags are computed once, when the
+    base change is built, and a b_family member shares them too.
     """
 
     name: str
@@ -66,6 +89,8 @@ class BaseChange:
     degenerate: bool = False
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     _pi_lambda: tuple = field(default=None, init=False, repr=False)
+    _factors: tuple = field(default=(), init=False, repr=False)  # (f_j, irreducible)
+    _slots: tuple = field(default=(), init=False, repr=False)    # T_i -> (num j, den j)
 
     def __post_init__(self):
         if len(self.images) != 4:
@@ -73,6 +98,19 @@ class BaseChange:
         for img in self.images:
             if img.is_zero():
                 raise InvalidParameter("base-change images must be nonzero")
+        # the image factors f_j with their irreducibility flags; T_i's image
+        # is f_(num j) / f_(den j), a None index standing for 1
+        polys = []
+
+        def index(p):
+            if p.is_one():
+                return None
+            if p not in polys:
+                polys.append(p)
+            return polys.index(p)
+
+        self._slots = tuple((index(img.num), index(img.den)) for img in self.images)
+        self._factors = tuple((p, _known_irreducible(p)) for p in polys)
         if not self.degenerate and self.sigma_P().is_zero():
             # Auto-flag rather than reject: degenerate contexts stay usable
             # for element evaluation, only pi/lambda are refused.
@@ -105,31 +143,64 @@ class BaseChange:
             )
         if not x.terms:
             return RationalFunction.zero(SERIES_VARS)
-        # Assemble the sum over one common denominator so only the final
-        # RationalFunction construction pays a gcd reduction.
-        pos = [max(max((t[i] for t in x.terms), default=0), 0) for i in range(4)]
-        neg = [max(-min((t[i] for t in x.terms), default=0), 0) for i in range(4)]
-        pows = []
-        for i, img in enumerate(self.images):
-            hi = pos[i] + neg[i]
-            npow = [_ONE]
-            dpow = [_ONE]
-            for _ in range(hi):
-                npow.append(npow[-1] * img.num)
-                dpow.append(dpow[-1] * img.den)
-            pows.append((npow, dpow))
-        num = Poly2.zero(SERIES_VARS)
+        # Each term's image is a product of powers of the image factors f_j.
+        # Sum the terms over the least power of each f_j they need, then
+        # strip each f_j of that denominator from the numerator in turn:
+        # together the strips remove exactly gcd(numerator, denominator),
+        # so the result is in lowest terms and no general gcd runs on the
+        # assembled numerator.
+        factors, slots = self._factors, self._slots
+        nets = []
         for term in x.terms:
+            net = [0] * len(factors)
+            for (nj, dj), e in zip(slots, term):
+                if nj is not None:
+                    net[nj] += e
+                if dj is not None:
+                    net[dj] -= e
+            nets.append(net)
+        low = [min(0, *column) for column in zip(*nets)]
+        powers = {}
+
+        def product(exps):
+            # Poly2 powers square, one shift of the terms per step, so a
+            # power past MAX_DEGREE raises DegreeOverflow within log2(e) steps
             prod = _ONE
-            for i, e in enumerate(term):
-                npow, dpow = pows[i]
-                prod = prod * npow[e + neg[i]] * dpow[pos[i] - e]
-            num = num + prod
-        den = _ONE
-        for i, img in enumerate(self.images):
-            npow, dpow = pows[i]
-            den = den * npow[neg[i]] * dpow[pos[i]]
-        return RationalFunction(num, den)
+            for j, e in enumerate(exps):
+                if e:
+                    p = powers.get((j, e))
+                    if p is None:
+                        p = powers[j, e] = factors[j][0] ** e
+                    prod = p if prod is _ONE else prod * p
+            return prod
+
+        acc = set()
+        for net in nets:
+            acc ^= product([e - lo for e, lo in zip(net, low)]).mons
+        if not acc:
+            return RationalFunction.zero(SERIES_VARS)
+        num = Poly2._make(_ONE.vars, _ONE.pk, acc)
+        den_exps = [-lo for lo in low]
+        den_rest = []
+        for j, (f, irreducible) in enumerate(factors):
+            for _ in range(den_exps[j]):
+                if irreducible:
+                    q = poly_div(num, f)
+                    if q is None:
+                        break
+                    num = q
+                else:
+                    h = gcd(num, f)
+                    if h.is_one():
+                        break
+                    num = poly_div(num, h)
+                    if h != f:
+                        den_rest.append(poly_div(f, h))
+                den_exps[j] -= 1
+        den = product(den_exps)
+        for f in den_rest:
+            den = f if den is _ONE else den * f
+        return RationalFunction._coprime(num, den)
 
     def image(self, x: LaurentElement) -> RationalFunction:
         """sigma(x), applied on the first request for x and kept in the memo."""

@@ -303,15 +303,15 @@ class Poly2:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly2.one(self.vars)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base.square()
-        return result
+        return Poly2.one(self.vars) if result is None else result
 
     def __eq__(self, other):
         return isinstance(other, Poly2) and self.vars == other.vars and self.mons == other.mons

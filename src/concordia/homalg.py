@@ -476,15 +476,6 @@ class HomologySummary:
         rank_in = len(self._divisors)
         return y[:rank_in], y[rank_in:]
 
-    def class_is_zero(self, vec):
-        tors, free = self.class_coords(vec)
-        for y, d in zip(tors, self._divisors):
-            if y.is_zero():
-                continue
-            if not self._weight.ord_rf(y) >= self._weight.ord_rf(d):
-                return False
-        return all(y.is_zero() for y in free)
-
     def _least_ord(self, coords):
         """(entry, ord) of the nonzero entry of least ord, the first on ties."""
         best = best_ord = None

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from concordia import basechange, field2
 from concordia.basechange import (
     BUILTIN_NAMES,
+    SERIES_VARS,
     BaseChange,
+    b_family,
     builtin,
     custom,
     series_poly,
@@ -21,6 +24,7 @@ from concordia.errors import (
     UnknownExample,
     UsageError,
 )
+from concordia.field2 import Poly2, RationalFunction
 from concordia.laurent import L, LaurentElement, LaurentFraction, P, Q, Ring, V
 from concordia.valuation import Order
 
@@ -171,3 +175,110 @@ def test_images_must_be_nonzero_and_four():
 def test_describe_mentions_parameters():
     assert builtin("A").describe() == "A"
     assert builtin("B", r=Fraction(1, 2)).describe() == "B (r = 1/2)"
+
+
+# -- apply against the general-gcd reference -------------------------------------
+
+def _reference_apply(sigma, x):
+    """sigma(x) assembled over the common denominator prod n_i^neg_i * d_i^pos_i,
+    where n_i/d_i = sigma(T_i), and reduced by the general gcd."""
+    if isinstance(x, LaurentFraction):
+        return _reference_apply(sigma, x.num) / _reference_apply(sigma, x.den)
+    one = Poly2.one(SERIES_VARS)
+    pos = [max(max((t[i] for t in x.terms), default=0), 0) for i in range(4)]
+    neg = [max(-min((t[i] for t in x.terms), default=0), 0) for i in range(4)]
+    num = Poly2.zero(SERIES_VARS)
+    for term in x.terms:
+        prod = one
+        for i, (e, img) in enumerate(zip(term, sigma.images)):
+            prod = prod * img.num ** (e + neg[i]) * img.den ** (pos[i] - e)
+        num = num + prod
+    den = one
+    for i, img in enumerate(sigma.images):
+        den = den * img.num ** neg[i] * img.den ** pos[i]
+    return RationalFunction(num, den)
+
+
+def _random_element(rng, ring):
+    terms = set()
+    for _ in range(rng.randrange(1, 5)):
+        t = [rng.randint(-4, 4) for _ in range(4)]
+        if ring is Ring.BN:
+            t[0] = 0
+        terms.add(tuple(t))
+    return LaurentElement(ring, terms)
+
+
+def _builtins():
+    yield from (builtin(name) for name in ("A", "C", "Cprime", "D"))
+    yield from (builtin("B", r=r) for r in (Fraction(1, 8), Fraction(1, 3), Fraction(1)))
+
+
+def _rf(num, den="1"):
+    return series_poly(num) / series_poly(den)
+
+
+def _customs():
+    """Images that are reducible, monomial, shared between T_i, or fractions."""
+    quarter = Fraction(1, 4)
+    weights = {"x": quarter, "y": quarter}
+    yield custom({"T0": "x*y", "T1": "1 + x", "T2": "1 + x^2", "T3": "1 + x + y + x*y"},
+                 weights)
+    yield custom({"T0": "1 + x", "T1": "1 + x", "T2": "1 + x + y + x*y", "T3": "y"}, weights)
+    yield custom({"T0": "x^2 + y^2", "T1": "x^2 + y^2", "T2": "x + y", "T3": "x"}, weights)
+    images = (_rf("1 + x", "1 + y"), _rf("1 + x", "1 + y"), _rf("1 + x^2", "y"),
+              _rf("x + y", "1 + x"))
+    yield BaseChange("fractions", images, builtin("C").weight)
+
+
+def test_apply_matches_the_general_gcd_reference():
+    rng = random.Random(11)
+    for sigma in [*_builtins(), *_customs()]:
+        rings = (Ring.FULL, Ring.BN) if sigma.reduced_valid() else (Ring.FULL,)
+        for ring in rings:
+            for _ in range(12):
+                x = _random_element(rng, ring)
+                assert sigma.apply(x) == _reference_apply(sigma, x), (sigma.name, x)
+            for _ in range(3):
+                frac = LaurentFraction(_random_element(rng, ring), _random_element(rng, ring))
+                if _reference_apply(sigma, frac.den).is_zero():
+                    continue
+                assert sigma.apply(frac) == _reference_apply(sigma, frac), (sigma.name, frac)
+
+
+def test_apply_reduces_shared_and_reducible_image_factors():
+    # sigma(T1^-2 * T2) = (1 + x^2) / (1 + x)^2 = 1 under T1 -> 1 + x, T2 -> 1 + x^2
+    sigma = next(_customs())
+    x = LaurentElement.monomial(Ring.FULL, 0, -2, 1, 0)
+    assert sigma.apply(x) == _rf("1")
+    # (1 + x + y + x*y) / (1 + x) = 1 + y
+    x = LaurentElement.monomial(Ring.FULL, 0, -1, 0, 1)
+    assert sigma.apply(x) == _rf("1 + y")
+    assert [irreducible for _, irreducible in sigma._factors] == [False, True, False, False]
+
+
+def test_builtin_images_apply_without_a_gcd(monkeypatch):
+    sigmas = list(_builtins())
+    for sigma in sigmas:
+        assert all(irreducible for _, irreducible in sigma._factors)
+
+    def boom(a, b):
+        raise AssertionError("general gcd called while applying a builtin base change")
+
+    monkeypatch.setattr(field2, "gcd", boom)
+    monkeypatch.setattr(basechange, "gcd", boom)
+    rng = random.Random(12)
+    for sigma in sigmas:
+        for ring in (Ring.FULL, Ring.BN):
+            for _ in range(10):
+                sigma.apply(_random_element(rng, ring))
+        for x in (P(Ring.FULL), V(), L(), Q(Ring.BN), P(Ring.BN) ** 3 * L()):
+            sigma.apply(x)
+
+
+def test_b_family_shares_the_memo_and_the_factor_flags():
+    family = builtin("B", r=Fraction(1, 2))
+    member = b_family(Fraction(1, 3), family)
+    assert member._memo is family._memo and member._factors is family._factors
+    assert member.pi_lambda() == (Order.rational(1), Order.rational(Fraction(1, 3)))
+    assert builtin("B", r=Fraction(1, 3))._factors is not family._factors

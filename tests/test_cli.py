@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, literal output, round-trips."""
 
 import io
+import itertools
 import json
 import sys
 import time
@@ -45,6 +46,45 @@ def test_eval_ord_and_leading_form(capsys):
     assert code == 0
     assert "ord = 1/2" in out
     assert "leading form =" in out
+
+
+def _count_poly2_products(monkeypatch):
+    """Count Poly2 products and squares made from now on."""
+    from concordia.field2 import Poly2
+
+    counts = {"products": 0}
+    for name in ("__mul__", "square"):
+        original = getattr(Poly2, name)
+
+        def counted(*args, original=original):
+            counts["products"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(Poly2, name, counted)
+    return counts
+
+
+def test_eval_large_power_builds_it_by_squaring(capsys, monkeypatch):
+    counts = _count_poly2_products(monkeypatch)
+    code, out, _ = run(capsys, "eval", "--example", "A", "--element", "T1^8000")
+    assert code == 0
+    # (1 + q1*x)^8000 = prod over the bits 2^j of 8000 of (1 + (q1*x)^(2^j))
+    bits = [1 << j for j in range(13) if 8000 >> j & 1]
+    exps = {sum(b for b, keep in zip(bits, mask) if keep)
+            for mask in itertools.product((0, 1), repeat=len(bits))}
+    assert len(exps) == 64
+    expected = " + ".join(
+        f"q1^{e}*x^{e}" if e > 1 else ("q1*x" if e else "1") for e in sorted(exps, reverse=True))
+    assert out.strip() == expected
+    assert counts["products"] <= 2 * (8000).bit_length()
+
+
+def test_eval_power_past_the_degree_limit_fails_after_log_steps(capsys, monkeypatch):
+    counts = _count_poly2_products(monkeypatch)
+    code, out, err = run(capsys, "eval", "--example", "A", "--element", "T1^16384")
+    assert code == 1
+    assert err.startswith("DegreeOverflow:") and "Traceback" not in err
+    assert counts["products"] <= 2 * (16384).bit_length()
 
 
 def test_membership_true_and_false(capsys):

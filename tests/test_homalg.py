@@ -476,14 +476,18 @@ def test_class_reduction_identifies_boundaries():
     sigma = builtin("B", r=Fraction(1, 2))
     c = trefoil_complex()
     hom = homology_over_valuation(c, sigma)
-    # the image of the generator is a boundary, hence a zero class
+    # the image of the generator is a boundary, hence a zero class: no free
+    # coordinate, and its torsion coordinate lies in the divisor's ideal
     boundary = [sigma.apply(e) for e in c.map_into(1)[0]]
-    assert hom[1].class_is_zero(boundary)
-    # the distinguished cycle is not
+    tors, free = hom[1].class_coords(boundary)
+    assert len(tors) == len(hom[1].torsion_ords) == 1
+    assert all(y.is_zero() for y in free)
+    assert tors[0].is_zero() or sigma.weight.ord_rf(tors[0]) >= hom[1].torsion_ords[0]
+    # the distinguished cycle is not: its free coordinate is nonzero
     cyc = [sigma.apply(ZERO), sigma.apply(ONE)]
-    assert not hom[1].class_is_zero(cyc)
     tors, free = hom[1].class_coords(cyc)
     assert len(tors) == 1 and len(free) == 1
+    assert not free[0].is_zero()
 
 
 def test_class_coords_rejects_non_cycles():
@@ -499,7 +503,7 @@ def test_free_generator_lift_is_a_cycle_with_nonzero_class():
     sigma = builtin("B", r=Fraction(1, 2))
     hom = homology_over_valuation(trefoil_complex(), sigma)
     lift = hom[1].free_generator_lift()
-    assert not hom[1].class_is_zero(lift)
+    assert not hom[1].class_coords(lift)[1][0].is_zero()
     # it generates the free part: its free coefficient is a unit
     assert sigma.weight.ord_rf(hom[1].free_coefficient(lift)).is_zero()
 
