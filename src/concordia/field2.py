@@ -13,9 +13,10 @@ validating constructor takes them and `Poly2.terms` gives them back.
 Addition is symmetric difference of supports; the Frobenius identity
 (a+b)^2 = a^2 + b^2 holds on the nose and squaring doubles every field.
 
-Rational functions are reduced fractions of such polynomials.  Because the
-only unit of F2[x1..xn] is 1, a gcd-reduced numerator/denominator pair is a
-canonical form, so equality is plain structural equality.
+A rational function is a fraction of such polynomials, reduced only when its
+numerator or denominator is read: sums, products, zero tests and ords never
+need lowest terms.  Because the only unit of F2[x1..xn] is 1, the reduced
+pair is canonical; printing and hashing read it, equality cross-multiplies.
 """
 
 from __future__ import annotations
@@ -518,9 +519,16 @@ def gcd(a, b):
 
 
 class RationalFunction:
-    """Reduced fraction of F2 polynomials over a shared variable tuple."""
+    """Fraction of F2 polynomials over a shared variable tuple, reduced when read.
 
-    __slots__ = ("num", "den")
+    `raw_num`/`raw_den` is the pair as built; arithmetic never takes a gcd:
+    `+` adds numerators over an equal denominator and cross-multiplies
+    otherwise, `*` multiplies.  A zero test reads the numerator, an ord the
+    pair as it is.  The first read of `num` or `den` (`str` and `hash` read
+    them) reduces the pair in place; `==` cross-multiplies.
+    """
+
+    __slots__ = ("raw_num", "raw_den", "_lowest")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -528,15 +536,13 @@ class RationalFunction:
         num._check(den)
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        if num.is_zero():
-            num, den = Poly2.zero(num.vars), Poly2.one(num.vars)
-        else:
-            g = gcd(num, den)
-            if not g.is_one():
-                num = poly_div(num, g)
-                den = poly_div(den, g)
-        self.num = num
-        self.den = den
+        self.raw_num, self.raw_den, self._lowest = num, den, den.is_one()
+
+    @classmethod
+    def _make(cls, num, den, lowest):
+        self = object.__new__(cls)
+        self.raw_num, self.raw_den, self._lowest = num, den, lowest
+        return self
 
     @classmethod
     def zero(cls, vars):
@@ -548,56 +554,47 @@ class RationalFunction:
 
     @classmethod
     def _coprime(cls, num, den):
-        """Internal: skip reduction; the caller guarantees gcd(num, den) = 1."""
-        self = object.__new__(cls)
-        self.num = num
-        self.den = den
-        return self
+        """Internal: the caller guarantees gcd(num, den) = 1."""
+        return cls._make(num, den, True)
+
+    def _lowest_terms(self):
+        if not self._lowest:
+            num, den = self.raw_num, self.raw_den
+            g = gcd(num, den)  # den itself when num is 0
+            if not g.is_one():
+                num, den = poly_div(num, g), poly_div(den, g)
+            self.raw_num, self.raw_den, self._lowest = num, den, True
+        return self.raw_num, self.raw_den
+
+    num = property(lambda self: self._lowest_terms()[0], doc="The numerator in lowest terms.")
+    den = property(lambda self: self._lowest_terms()[1], doc="The denominator in lowest terms.")
 
     @property
     def vars(self):
-        return self.num.vars
+        return self.raw_num.vars
 
     def is_zero(self):
-        return self.num.is_zero()
-
-    # Sums and products are rebuilt in lowest terms from component gcds
-    # (both operands are already reduced), never by reducing a full
-    # cross-product: the small gcds below leave the result coprime.
+        return not self.raw_num.mons
 
     def __add__(self, other):
-        if self.num.is_zero():
+        a, b, c, d = self.raw_num, self.raw_den, other.raw_num, other.raw_den
+        if not a.mons:
             return other
-        if other.num.is_zero():
+        if not c.mons:
             return self
-        g = gcd(self.den, other.den)
-        if g.is_one():
-            num = self.num * other.den + other.num * self.den
-            if num.is_zero():
-                return RationalFunction.zero(self.vars)
-            # gcd(num, d1) = gcd(n1*d2, d1) = 1 and symmetrically for d2
-            return RationalFunction._coprime(num, self.den * other.den)
-        d1r = poly_div(self.den, g)
-        d2r = poly_div(other.den, g)
-        num = self.num * d2r + other.num * d1r
-        if num.is_zero():
-            return RationalFunction.zero(self.vars)
-        # any common factor with d1r or d2r is ruled out; only g can share
-        h = gcd(num, g)
-        if h.is_one():
-            return RationalFunction._coprime(num, d1r * d2r * g)
-        return RationalFunction._coprime(poly_div(num, h), d1r * d2r * poly_div(g, h))
+        if b == d:
+            return RationalFunction._make(a + c, b, b.is_one())
+        return RationalFunction._make(a * d + c * b, b * d, False)
 
     __sub__ = __add__
 
     def __mul__(self, other):
-        if self.num.is_zero() or other.num.is_zero():
-            return RationalFunction.zero(self.vars)
-        g1 = gcd(self.num, other.den)
-        g2 = gcd(other.num, self.den)
-        num = poly_div(self.num, g1) * poly_div(other.num, g2)
-        den = poly_div(self.den, g2) * poly_div(other.den, g1)
-        return RationalFunction._coprime(num, den)
+        a, b, c, d = self.raw_num, self.raw_den, other.raw_num, other.raw_den
+        if not a.mons:
+            return self
+        if not c.mons:
+            return other
+        return RationalFunction._make(a * c, b * d, b.is_one() and d.is_one())
 
     def __truediv__(self, other):
         if other.is_zero():
@@ -607,38 +604,40 @@ class RationalFunction:
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return RationalFunction._coprime(self.den, self.num)
+        return RationalFunction._make(self.raw_den, self.raw_num, self._lowest)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return RationalFunction.one(self.vars)
-        if self.num.is_zero():
+        if self.is_zero():
             return self
-        return RationalFunction._coprime(self.num ** n, self.den ** n)
+        return RationalFunction._make(self.raw_num ** n, self.raw_den ** n, self._lowest)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        if not isinstance(other, RationalFunction) or self.vars != other.vars:
+            return False
+        a, b, c, d = self.raw_num, self.raw_den, other.raw_num, other.raw_den
+        if b == d or (self._lowest and other._lowest):
+            return a == c and b == d
+        return a * d == c * b
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self._lowest_terms())
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.raw_num)
 
     def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        n = str(self.num)
-        if len(self.num.mons) > 1:
+        num, den = self._lowest_terms()
+        if den.is_one():
+            return str(num)
+        n = str(num)
+        if len(num.mons) > 1:
             n = f"({n})"
-        d = str(self.den)
-        if len(self.den.mons) > 1:
+        d = str(den)
+        if len(den.mons) > 1:
             d = f"({d})"
         return f"{n}/{d}"
 

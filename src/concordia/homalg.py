@@ -16,9 +16,12 @@ the condition for inducing a map on homology).
 
 Homology after a base change is computed over the valuation ring by exact
 diagonalization: the pivot is the entry of minimal ord (ties broken at the
-lowest (row, col) in row-major order), eliminations divide exactly in the
-fraction field, and the recorded transforms stay invertible over the
-valuation ring because every multiplier has nonnegative ord.
+lowest (row, col) in row-major order), and the recorded transforms stay
+invertible over the valuation ring because every multiplier has nonnegative
+ord.  The elimination is fraction-free (Bareiss): row i is polynomials over
+delta_i * p_(s-1), its entries' cleared denominators times the previous
+pivot, and each step divides exactly by p_(s-1), so entries stay the size of
+minors and no gcd runs.
 
 The computation is one pass per complex.  Each boundary entry goes through
 sigma's memo of images, which depends only on sigma's images of T0..T3, so
@@ -44,6 +47,7 @@ from .errors import (
     RingMismatch,
     UsageError,
 )
+from .field2 import Poly2, RationalFunction, poly_div
 from .laurent import (
     LaurentElement,
     Ring,
@@ -374,11 +378,20 @@ class SmithForm:
     right: list           # R
 
 
-def _add_multiple(dst, src, f, indices):
-    """dst[c] += f * src[c] for c in indices (no signs in characteristic 2)."""
-    for c in indices:
-        if not src[c].is_zero():
-            dst[c] = dst[c] + f * src[c]
+def _exact(num, den):
+    """num / den, exact at every Bareiss step; a remainder is an IntegrityError."""
+    q = num if den.is_one() else poly_div(num, den)
+    if q is None:
+        raise IntegrityError("an exact division of the fraction-free elimination left a remainder")
+    return q
+
+
+def _multiple(d, e):
+    """A common multiple of d and e: d or e when exact division shows that
+    one divides the other, their product otherwise."""
+    if e.is_one() or poly_div(d, e) is not None:
+        return d
+    return e if d.is_one() or poly_div(e, d) is not None else d * e
 
 
 def smith_diagonalize(matrix, weight, one, zero, ncols=None) -> SmithForm:
@@ -389,52 +402,96 @@ def smith_diagonalize(matrix, weight, one, zero, ncols=None) -> SmithForm:
     row-major order), so every elimination multiplier has ord >= 0 and the
     accumulated transforms are invertible over the valuation ring.  A
     matrix with no rows carries no width of its own; ncols supplies it.
-    Only the remaining block of the working copy is kept up to date: row
-    operations touch the columns right of the pivot, and column operations,
-    which only clear the pivot row, touch R alone.  Each entry's ord is
-    computed once and kept until a row operation rewrites the entry.
+
+    The elimination is fraction-free (Bareiss) and runs no gcd.  At stage s
+    row i holds polynomials N_ij for the true entries N_ij / (delta_i *
+    p_(s-1)): delta_i clears the row's entry denominators, each multiplied
+    in unless exact division shows it redundant, and p_(s-1) is the previous
+    pivot N_(s-1,s-1), 1 at stage 0.  A step sets row r to (p_s * N_r +
+    N_rs * N_s) / p_(s-1), an exact division (the result is a minor of the
+    row-cleared matrix; a remainder raises IntegrityError), and the diagonal
+    entry is d_s = p_s / (delta_s * p_(s-1)).  L goes through the same steps
+    as the identity columns of N = [A | I], its row r being N_r,n+c *
+    delta_c / (delta_r * p) for the row's last p and original row c's
+    delta_c.  R, which undoes the column operations that clear the pivot
+    rows, is their back substitution, column c over p_(k-1) for
+    k = min(c, rank).  An entry's ord is kept until a step changes its true
+    value.  Entries are returned as unreduced pairs.
     """
-    a = [list(row) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if a else (ncols or 0)
-    left = [list(row) for row in identity(m, one, zero)]
-    right_t = [list(row) for row in identity(n, one, zero)]   # R transposed
-    ords = [[None] * n for _ in range(m)]   # ord of a[i][j]; None until computed
-    diagonal = []
+    m = len(matrix)
+    n = len(matrix[0]) if matrix else (ncols or 0)
+    pone, pzero = Poly2.one(one.vars), Poly2.zero(one.vars)
+    N, delta = [], []                      # N is [A | I] with A's rows cleared
+    for i, row in enumerate(matrix):
+        d = pone
+        for x in row:
+            if not x.is_zero():
+                d = _multiple(d, x.raw_den)
+        N.append([x.raw_num if x.is_zero() or x.raw_den == d
+                  else x.raw_num * poly_div(d, x.raw_den) for x in row]
+                 + [pone if k == i else pzero for k in range(m)])
+        delta.append(d)
+    delta_of_column = list(delta)          # L's column c belongs to original row c
+    cols = list(range(n))                  # the original column at each position
+    ords = [[None] * n for _ in range(m)]  # ord of the true entry; None until computed
+    diagonal, den = [], []                 # den: each frozen row's delta_s * p_(s-1)
+    prev = pone                            # p_(s-1)
     for s in range(min(m, n)):
         best = best_ord = None
         for i in range(s, m):
+            Ni, oi, d = N[i], ords[i], delta[i] * prev
             for j in range(s, n):
-                if a[i][j].is_zero():
+                if not Ni[j].mons:
                     continue
-                o = ords[i][j]
+                o = oi[j]
                 if o is None:
-                    o = ords[i][j] = weight.ord_rf(a[i][j])
+                    o = oi[j] = weight.ord_rf(RationalFunction(Ni[j], d))
                 if best_ord is None or o < best_ord:
                     best, best_ord = (i, j), o
         if best is None:
             break
         i, j = best
-        for rows in (a, ords):
+        delta[s], delta[i] = delta[i], delta[s]
+        cols[s], cols[j] = cols[j], cols[s]
+        for rows in (N, ords):
             rows[s], rows[i] = rows[i], rows[s]
             for row in rows:
                 row[s], row[j] = row[j], row[s]
-        left[s], left[i] = left[i], left[s]
-        right_t[s], right_t[j] = right_t[j], right_t[s]
-        pivot = a[s][s]
-        for r in range(s + 1, m):       # row_r += f * row_s clears the pivot column
-            if not a[r][s].is_zero():
-                f = a[r][s] / pivot
-                for c in range(s + 1, n):
-                    if not a[s][c].is_zero():
-                        a[r][c] = a[r][c] + f * a[s][c]
-                        ords[r][c] = None
-                _add_multiple(left[r], left[s], f, range(m))
-        for c in range(s + 1, n):       # col_c += f * col_s clears the pivot row
-            if not a[s][c].is_zero():
-                _add_multiple(right_t[c], right_t[s], a[s][c] / pivot, range(n))
-        diagonal.append(pivot)
-    return SmithForm(diagonal, len(diagonal), left, transpose(right_t))
+        Ns, p = N[s], N[s][s]
+        den.append(delta[s] * prev)
+        # the first pivot is an entry of the matrix as given, in its own terms
+        diagonal.append(RationalFunction(p, den[s]) if s else matrix[i][j])
+        for r in range(s + 1, m):
+            Nr, orow, f = N[r], ords[r], N[r][s]
+            for c in range(s + 1, n + m):
+                x, y = Nr[c], Ns[c]
+                if f.mons and y.mons:
+                    Nr[c] = _exact(p * x + f * y, prev)
+                    if c < n:
+                        orow[c] = None
+                elif x.mons:
+                    Nr[c] = _exact(p * x, prev)   # the same true entry
+        prev = p
+    den += [delta[r] * prev for r in range(len(den), m)]
+    left = [[RationalFunction(b * delta_of_column[c], den[r]) if b.mons else zero
+             for c, b in enumerate(N[r][n:])] for r in range(m)]
+    # by Cramer's rule column c of R is k x k minors of the row-cleared
+    # matrix over p_(k-1), so every back-substitution step divides exactly
+    rank, right = len(diagonal), [[zero] * n for _ in range(n)]
+    for c in range(n):
+        k = min(c, rank)
+        top = N[k - 1][k - 1] if k else pone
+        rho = {c: top, k - 1: N[k - 1][c]} if k else {c: top}
+        for s in range(k - 2, -1, -1):
+            acc = pzero
+            for t, v in rho.items():
+                if N[s][t].mons:
+                    acc = acc + N[s][t] * v
+            rho[s] = _exact(acc, N[s][s])
+        for t, v in rho.items():
+            if v.mons:
+                right[cols[t]][c] = RationalFunction(v, top)
+    return SmithForm(diagonal, rank, left, right)
 
 
 @dataclass
@@ -517,7 +574,6 @@ def homology_over_valuation(complex: ChainComplex, sigma) -> dict:
     torsion of H_d is read off the incoming map's nonunit diagonal, and the
     free rank is n - rank_in - rank_out.
     """
-    from .field2 import RationalFunction
     from .basechange import SERIES_VARS
 
     weight = sigma.weight

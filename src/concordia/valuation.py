@@ -179,11 +179,13 @@ class MonomialWeight:
         return Poly2._make(p.vars, p.pk, [m for m, o in zip(p.mons, self._ords(p)) if o == lo])
 
     def ord_rf(self, f: RationalFunction) -> Order:
+        """ord of f, read off the pair as built: no representative needs lowest terms."""
         if f.is_zero():
             raise ZeroElement("ord of the zero rational function")
-        return self._order(self._ord_int(f.num) - self._ord_int(f.den))
+        return self._order(self._ord_int(f.raw_num) - self._ord_int(f.raw_den))
 
     def leading_form_rf(self, f: RationalFunction) -> RationalFunction:
+        """The leading forms of the pair; they are multiplicative, so any pair serves."""
         if f.is_zero():
             raise ZeroElement("leading form of zero")
-        return RationalFunction(self.leading_form(f.num), self.leading_form(f.den))
+        return RationalFunction(self.leading_form(f.raw_num), self.leading_form(f.raw_den))

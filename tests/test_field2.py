@@ -1,6 +1,7 @@
 """Polynomial and rational-function arithmetic over F2."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from concordia.field2 import (
     parse_term_list,
     poly_div,
 )
+from concordia.valuation import MonomialWeight
 
 VARS = ("x", "y", "z")
 
@@ -183,6 +185,127 @@ def test_fraction_str_parenthesizes_sums():
     assert str(rf("x + y", "z")) == "(x + y)/z"
     assert str(rf("x", "y + z")) == "x/(y + z)"
     assert str(rf("0")) == "0"
+
+
+class _Reduced:
+    """Reference fraction reduced at every step: each result is brought to
+    lowest terms by a gcd as soon as it is built."""
+
+    def __init__(self, num, den=None):
+        den = Poly2.one(num.vars) if den is None else den
+        if num.is_zero():
+            den = Poly2.one(num.vars)
+        else:
+            g = gcd(num, den)
+            num, den = poly_div(num, g), poly_div(den, g)
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        return _Reduced(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return _Reduced(self.num * other.num, self.den * other.den)
+
+    def inverse(self):
+        return _Reduced(self.den, self.num)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
+        return _Reduced(base.num ** abs(n), base.den ** abs(n))
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+
+def _operand(rng):
+    """(value, reference): the value built reduced or with a common factor
+    left in, the reference always reduced."""
+    num = rand_poly(rng, 3, 2)
+    den = rand_poly(rng, 2, 1)
+    if den.is_zero():
+        den = Poly2.one(VARS)
+    ref = _Reduced(num, den)
+    if rng.random() < 0.5:
+        return RationalFunction._coprime(ref.num, ref.den), ref
+    c = rand_poly(rng, 2, 1)
+    if c.is_zero():
+        c = p("x + 1")
+    return RationalFunction(num * c, den * c), ref
+
+
+def _agree(value, ref):
+    assert value.num == ref.num and value.den == ref.den
+    assert hash(value) == hash(ref)
+    assert str(value) == str(RationalFunction._coprime(ref.num, ref.den))
+
+
+def test_lazy_fractions_read_as_the_reduce_every_step_reference():
+    rng = random.Random(4242)
+    ops = ("+", "*", "/", "inv", "pow")
+    for _ in range(150):
+        (a, ra), (b, rb) = _operand(rng), _operand(rng)
+        for _ in range(rng.randint(1, 4)):
+            op = rng.choice(ops)
+            if op in ("/", "inv") and b.is_zero():
+                op = "+"
+            if op == "+":
+                a, ra = a + b, ra + rb
+            elif op == "*":
+                a, ra = a * b, ra * rb
+            elif op == "/":
+                a, ra = a / b, ra / rb
+            elif op == "inv" and not a.is_zero():
+                a, ra = a.inverse(), ra.inverse()
+            elif op == "pow":
+                e = rng.choice((-2, 0, 1, 2, 3)) if not a.is_zero() else 2
+                a, ra = a ** e, ra ** e
+            (b, rb) = _operand(rng)
+            if rng.random() < 0.3 and not a.is_zero():
+                # over a's denominator as it stands: + adds the numerators
+                num = rand_poly(rng, 3, 2)
+                b, rb = RationalFunction(num, a.raw_den), _Reduced(num, a.raw_den)
+            # read some values mid-chain, so reduced and unreduced operands mix
+            if rng.random() < 0.3:
+                _agree(a, ra)
+        _agree(a, ra)
+
+
+def test_a_common_factor_does_not_change_equality_or_hash():
+    rng = random.Random(4343)
+    for _ in range(100):
+        (a, _), (b, _) = _operand(rng), _operand(rng)
+        c, _ = _operand(rng)
+        if b.is_zero() or c.is_zero():
+            continue
+        left, right = (a * c) / (b * c), a / b
+        assert left == right and right == left
+        assert hash(left) == hash(right)
+        assert (left + right).is_zero()
+
+
+@pytest.mark.parametrize("kind", ["rational", "lex"])
+def test_ord_does_not_depend_on_the_representative(kind):
+    rng = random.Random(4444 if kind == "rational" else 4445)
+    for _ in range(100):
+        if kind == "rational":
+            weight = MonomialWeight.rational(
+                {v: Fraction(rng.randint(1, 5), rng.randint(1, 4)) for v in VARS})
+        else:
+            weight = MonomialWeight.lex(
+                {v: (Fraction(rng.randint(0, 2)), Fraction(rng.randint(1, 3))) for v in VARS})
+        value, ref = _operand(rng)
+        if value.is_zero():
+            continue
+        c = rand_poly(rng, 3, 2)
+        if c.is_zero():
+            continue
+        lowest = RationalFunction._coprime(ref.num, ref.den)
+        scaled = RationalFunction(value.raw_num * c, value.raw_den * c)
+        assert weight.ord_rf(scaled) == weight.ord_rf(value) == weight.ord_rf(lowest)
+        assert weight.ord_rf(value) == weight.ord_poly(ref.num) - weight.ord_poly(ref.den)
 
 
 # -- text helpers ---------------------------------------------------------------------

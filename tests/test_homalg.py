@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from concordia import basechange, catalog, field2
 from concordia.basechange import builtin, series_poly
 from concordia.errors import (
     IntegrityError,
@@ -15,7 +16,7 @@ from concordia.errors import (
     RingMismatch,
     UsageError,
 )
-from concordia.field2 import RationalFunction
+from concordia.field2 import Poly2, RationalFunction, poly_div
 from concordia.homalg import (
     K_TO_UNKNOT,
     UNKNOT_TO_K,
@@ -39,6 +40,7 @@ from concordia.homalg import (
     transpose,
     validate_cycle,
 )
+from concordia.invariants import as_forward, connected_sum, f_sigma
 from concordia.laurent import L, LaurentElement, P, Ring
 from concordia.valuation import MonomialWeight, Order
 from property_suites import random_poly
@@ -314,28 +316,113 @@ def _det(m, one, zero):
     return acc
 
 
-def _random_entry(rng, vars):
-    """A sparse rational function: a few terms over a monomial.
-
-    Small on purpose: elimination with richer denominators takes minutes.
-    """
+def _random_entry(rng, vars, den_terms=1):
+    """A sparse rational function: up to three terms of exponent at most 2
+    over up to den_terms terms of exponent at most 1, or zero."""
     if rng.random() < 0.3:
         return RationalFunction.zero(vars)
     num = random_poly(rng, vars, max_terms=3, max_exp=2, nonzero=True)
-    den = random_poly(rng, vars, max_terms=1, max_exp=1, nonzero=True)
+    den = random_poly(rng, vars, max_terms=den_terms, max_exp=1, nonzero=True)
     return RationalFunction(num, den)
 
 
-@pytest.mark.parametrize("kind", ["rational", "lex"])
-def test_smith_diagonal_ords_are_quotients_of_determinantal_divisors(kind):
-    # Kaplansky: over a valuation ring the least ord of the k x k minors is
-    # the sum of the k least diagonal ords, so min-ord pivoting must give
-    # ord d_k = delta_k - delta_(k-1), and the rank is the largest k with a
-    # nonzero k x k minor.
-    vars = ("x", "u")
+def _det_rf(m, one):
+    """Determinant of a matrix of rational functions, taken on polynomials:
+    each row is cleared by the product of its distinct entry denominators."""
+    rows, dens = [], one.raw_num
+    for row in m:
+        d = one.raw_num
+        for e in row:
+            if not e.is_zero() and poly_div(d, e.raw_den) is None:
+                d = d * e.raw_den
+        rows.append([e.raw_num * poly_div(d, e.raw_den) for e in row])
+        dens = dens * d
+    return RationalFunction(_det(rows, one.raw_num, Poly2.zero(one.vars)), dens)
+
+
+_GF_ORDER = 65535
+
+
+def _gf_tables():
+    """exp and log tables of GF(2^16), over the primitive x^16 + x^5 + x^3 + x^2 + 1."""
+    exp, log, v = [0] * (2 * _GF_ORDER), [0] * (_GF_ORDER + 1), 1
+    for i in range(_GF_ORDER):
+        exp[i] = exp[i + _GF_ORDER] = v
+        log[v] = i
+        v = (v << 1) ^ (0x1002D if v & 0x8000 else 0)
+    return exp, log
+
+
+_GF_EXP, _GF_LOG = _gf_tables()
+
+
+def _gf_mul(a, b):
+    return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]] if a and b else 0
+
+
+def _gf_value(x, logs):
+    """x(point) for a rational function x; logs are the point's coordinate
+    logarithms, one per variable.  None where the denominator vanishes."""
+    def poly(p):
+        acc = 0
+        for t in p.terms:
+            acc ^= _GF_EXP[sum(e * l for e, l in zip(t, logs)) % _GF_ORDER]
+        return acc
+    den = poly(x.raw_den)
+    if not den:
+        return None
+    num = poly(x.raw_num)
+    return _GF_EXP[_GF_LOG[num] - _GF_LOG[den] + _GF_ORDER] if num else 0
+
+
+def _transforms_at_a_point(f, m, rng):
+    """(L * M * R, D) evaluated at a random point of GF(2^16)^3 where no
+    denominator vanishes.  A nonzero rational function of degree k vanishes
+    at a random point with probability at most k / 2^16 (Schwartz-Zippel);
+    checking L * M * R = D symbolically would cross-multiply the
+    denominators of every sum."""
+    while True:
+        logs = [rng.randrange(_GF_ORDER) for _ in range(3)]
+        mats = [[[_gf_value(x, logs) for x in row] for row in a] for a in (f.left, m, f.right)]
+        diag = [_gf_value(x, logs) for x in f.diagonal]
+        if not any(v is None for a in mats for row in a for v in row) and None not in diag:
+            break
+    left, mid, right = mats
+    prod = [[0] * len(right[0]) for _ in left]
+    for i, row in enumerate(left):
+        for k, lv in enumerate(row):
+            for j, mv in enumerate(mid[k]):
+                lm = _gf_mul(lv, mv)
+                for c, rv in enumerate(right[j]):
+                    prod[i][c] ^= _gf_mul(lm, rv)
+    want = [[diag[i] if i == c and i < f.rank else 0 for c in range(len(right[0]))]
+            for i in range(len(left))]
+    return prod, want
+
+
+def _is_a_unit_matrix(a, weight, one, zero):
+    """Whether a is invertible over the valuation ring: its entries have
+    ord >= 0 and its reduction mod the maximal ideal (an ord-0 entry's
+    residue is its leading-form ratio, the rest reduce to 0) has a nonzero
+    determinant, that is, det a has ord 0."""
+    res = []
+    for row in a:
+        out = []
+        for x in row:
+            o = None if x.is_zero() else weight.ord_rf(x)
+            if o is not None and o < weight.zero():
+                return False
+            out.append(weight.leading_form_rf(x) if o == weight.zero() else zero)
+        res.append(out)
+    return not _det(res, one, zero).is_zero()
+
+
+def _smith_batch(kind, count=40):
+    """Seeded (matrix, weight) pairs over x, y, u, up to 4 x 4, with
+    denominators of up to two terms."""
+    vars = ("x", "y", "u")
     rng = random.Random(20260 if kind == "rational" else 20261)
-    one, zero = RationalFunction.one(vars), RationalFunction.zero(vars)
-    for _ in range(40):
+    for _ in range(count):
         if kind == "rational":
             weight = MonomialWeight.rational(
                 {v: Fraction(rng.randint(1, 5), rng.randint(1, 4)) for v in vars})
@@ -343,20 +430,64 @@ def test_smith_diagonal_ords_are_quotients_of_determinantal_divisors(kind):
             weight = MonomialWeight.lex(
                 {v: (Fraction(rng.randint(0, 2)), Fraction(rng.randint(1, 3))) for v in vars})
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = [[_random_entry(rng, vars) for _ in range(cols)] for _ in range(rows)]
+        yield [[_random_entry(rng, vars, den_terms=2) for _ in range(cols)]
+               for _ in range(rows)], weight
+
+
+@pytest.mark.parametrize("kind", ["rational", "lex"])
+def test_smith_diagonal_ords_are_quotients_of_determinantal_divisors(kind):
+    # Kaplansky: over a valuation ring the least ord of the k x k minors is
+    # the sum of the k least diagonal ords, so min-ord pivoting must give
+    # ord d_k = delta_k - delta_(k-1), and the rank is the largest k with a
+    # nonzero k x k minor.  L * M * R = D with L and R units of the ring.
+    vars = ("x", "y", "u")
+    one, zero = RationalFunction.one(vars), RationalFunction.zero(vars)
+    rng = random.Random(kind)
+    for m, weight in _smith_batch(kind):
+        rows, cols = len(m), len(m[0])
         f = smith_diagonalize(m, weight, one, zero)
         delta = [weight.zero()]
         for k in range(1, min(rows, cols) + 1):
             ords = [weight.ord_rf(x) for x in (
-                _det([[m[i][j] for j in cs] for i in rs], one, zero)
+                _det_rf([[m[i][j] for j in cs] for i in rs], one)
                 for rs in combinations(range(rows), k)
                 for cs in combinations(range(cols), k)) if not x.is_zero()]
             if not ords:
                 break
             delta.append(min(ords))
+        # asserts on plain values: printing an unreduced entry reduces it
         assert f.rank == len(delta) - 1
-        for k, d in enumerate(f.diagonal, start=1):
-            assert weight.ord_rf(d) == delta[k] - delta[k - 1]
+        ords = [weight.ord_rf(d) for d in f.diagonal]
+        assert ords == [delta[k] - delta[k - 1] for k in range(1, len(delta))]
+        for _ in range(2):
+            prod, want = _transforms_at_a_point(f, m, rng)
+            assert prod == want
+        units = [_is_a_unit_matrix(t, weight, one, zero) for t in (f.left, f.right)]
+        assert units == [True, True]
+
+
+def test_no_gcd_on_the_valuation_path(monkeypatch):
+    # sigma's image factors are found when it is built, and as_forward
+    # divides Laurent elements: both before the patch
+    sigmas = [builtin(n) for n in "ACD"] + [builtin("B", Fraction(k, 7)) for k in range(1, 8)]
+    models = [catalog.get(n).model for n in catalog.names() if catalog.get(n).model is not None]
+    forward = {n: as_forward(catalog.get_model(n)) for n in ("trefoil", "trefoil_left")}
+    models.append(connected_sum(connected_sum(forward["trefoil"], forward["trefoil_left"]),
+                                forward["trefoil"]))
+    batch = [case for kind in ("rational", "lex") for case in _smith_batch(kind)]
+
+    def refuse(a, b):
+        raise AssertionError("gcd on the valuation path")
+
+    monkeypatch.setattr(field2, "gcd", refuse)
+    monkeypatch.setattr(basechange, "gcd", refuse)
+    vars = ("x", "y", "u")
+    one, zero = RationalFunction.one(vars), RationalFunction.zero(vars)
+    for m, weight in batch:
+        smith_diagonalize(m, weight, one, zero)
+    for model in models:
+        for sigma in sigmas:
+            f_sigma(model, sigma)
 
 
 def _smith_by_full_scan(matrix, weight, one, zero):
